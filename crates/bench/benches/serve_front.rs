@@ -1,5 +1,5 @@
 //! `serve_front`: concurrent serving throughput/latency at 1 / 8 / 64
-//! clients, fused batching window vs. per-client execution.
+//! clients, load-driven fused batching vs. per-client execution.
 //!
 //! Two lanes over the same pool of two-table Case-3 COUNT shapes
 //! (single-table RSPNs, so every query combines both members):
@@ -7,16 +7,19 @@
 //! * **per-client** — batching disabled (`window = 0`, `max_batch = 1`):
 //!   every request plans through the cache and sweeps alone, the
 //!   pre-serving behavior with admission control on top.
-//! * **fused** — the batching window merges co-arriving clients' probes
-//!   into one shared sweep per touched member per window
-//!   (`max_batch = clients`, 200 µs window).
+//! * **fused** — the default [`ServeConfig`]: a request sweeps at once
+//!   while a sweep lane is free, and requests arriving while every lane is
+//!   busy are merged into one shared sweep per touched member when a lane
+//!   frees.
 //!
 //! Both lanes are asserted **bitwise identical** to the unfused
 //! single-query compile path per shape before any timing. Writes
 //! `BENCH_serve_front.json` with QPS and p99 latency per lane and client
 //! count plus `host_parallelism`; the acceptance gate is fused ≥
-//! per-client QPS at 8+ clients. `DEEPDB_FAST=1` shrinks the fixture and
-//! request counts for the CI smoke run.
+//! per-client QPS at 8+ clients. `DEEPDB_FAST=1` only shortens the
+//! criterion lane for the CI smoke run: the fixture learns in under 0.1 s,
+//! and the gate needs the deep models and the full request counts to mean
+//! anything.
 
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -33,23 +36,22 @@ fn fast() -> bool {
 }
 
 fn fixture() -> (Database, Ensemble) {
-    let n = if fast() { 600 } else { 4_000 };
-    let db = correlated_customer_order(n, 41);
+    let db = correlated_customer_order(4_000, 41);
     // Deep SPNs — a zero independence threshold treats every column pair as
     // dependent, forcing row splits down to small leaf slices, so the
-    // per-member sweep is the dominant cost. That is the serving regime the
-    // batching window exists for; model quality is irrelevant here (bitwise
+    // per-member sweep is the dominant cost. That is the serving regime
+    // fusion exists for; model quality is irrelevant here (bitwise
     // agreement is asserted, not accuracy), hence also the few Lloyd
     // iterations.
     let spn = deepdb_spn::SpnParams {
         rdc_threshold: 0.0,
-        min_instance_ratio: if fast() { 0.004 } else { 0.001 },
+        min_instance_ratio: 0.001,
         kmeans_iters: 4,
         ..deepdb_spn::SpnParams::default()
     };
     let params = EnsembleParams {
         strategy: EnsembleStrategy::SingleTables, // two-table COUNTs are Case 3
-        sample_size: n.max(4_000),
+        sample_size: 4_000,
         correlation_sample: 500,
         spn,
         ..EnsembleParams::default()
@@ -142,27 +144,18 @@ fn run_lane(
 fn bench_serve_front(c: &mut Criterion) {
     let (db, ens) = fixture();
     let pool: Vec<Query> = (0..64).map(shape_query).collect();
-    let per_client = if fast() { 40 } else { 200 };
+    let per_client = 200;
 
     let solo_cfg = ServeConfig {
         window: Duration::ZERO,
         max_batch: 1,
         ..ServeConfig::default()
     };
-    // The window scales with the swarm: merging 64 clients' arrivals takes
-    // longer than merging 8, and a too-short window ships half-empty
-    // batches that forfeit the shared-sweep amortization.
-    let fused_cfg = |clients: usize| ServeConfig {
-        window: Duration::from_micros(200 * (clients as u64 / 8).max(1)),
-        max_batch: clients.max(2),
-        ..ServeConfig::default()
-    };
-
     // Acceptance first: both serving lanes are bitwise-identical to the
     // unfused single-query compile path on every shape.
     {
         let solo = ServeFront::with_config(&ens, &db, solo_cfg.clone());
-        let fused = ServeFront::with_config(&ens, &db, fused_cfg(8));
+        let fused = ServeFront::new(&ens, &db);
         for (i, q) in pool.iter().enumerate() {
             let want = compile::estimate_count(&ens, &db, q).expect("reference");
             let a = solo.serve(q, None).expect("solo");
@@ -200,7 +193,9 @@ fn bench_serve_front(c: &mut Criterion) {
         let solo = ServeFront::with_config(&ens, &db, solo_cfg.clone());
         let (solo_qps, solo_p99) = run_lane(&solo, &pool, clients, per_client);
 
-        let fused = ServeFront::with_config(&ens, &db, fused_cfg(clients));
+        // Batches size themselves from the load (whatever queues behind the
+        // busy lanes), so the library default serves every client count.
+        let fused = ServeFront::new(&ens, &db);
         let (fused_qps, fused_p99) = run_lane(&fused, &pool, clients, per_client);
         let fused_stats = fused.stats();
 
@@ -215,8 +210,8 @@ fn bench_serve_front(c: &mut Criterion) {
         rows.push((clients, solo_qps, solo_p99, fused_qps, fused_p99));
     }
 
-    // The acceptance gate: once concurrency is real (8+ clients), the
-    // batching window must not lose to per-client sweeps.
+    // The acceptance gate: once concurrency is real (8+ clients), fused
+    // batching must not lose to per-client sweeps.
     for &(clients, solo_qps, _, fused_qps, _) in &rows {
         if clients >= 8 {
             assert!(

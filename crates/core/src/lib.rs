@@ -63,4 +63,4 @@ pub use fd::FunctionalDependency;
 pub use joinorder::JoinOrderer;
 pub use plan::{MpeHandle, ProbeHandle, ProbePlan, ProbeResults};
 pub use rspn::Rspn;
-pub use serve::{FaultPlan, FaultSite, ServeConfig, ServeFront, ServeStats};
+pub use serve::{Fault, FaultPlan, FaultSite, ServeConfig, ServeFront, ServeStats};

@@ -15,13 +15,19 @@
 //!    [`DeepDbError::Overloaded`] (backpressure, no unbounded queueing).
 //! 2. **Plan** — the request routes through the plan cache
 //!    ([`crate::cache`]): a shape hit costs one literal rebind.
-//! 3. **Window** — the request's probes are absorbed into the forming
+//! 3. **Lane** — the request's probes are absorbed into the forming
 //!    batch's shared [`ProbePlan`] ([`ProbePlan::absorb`]); the first
-//!    client in becomes the batch **leader** and waits up to the (pressure-
-//!    adjusted) batching window for co-batched arrivals, or until the batch
-//!    reaches [`ServeConfig::max_batch`].
+//!    client in becomes the batch **leader**. The front has one sweep
+//!    **lane** per sweep thread ([`ServeConfig::threads`]). While a lane is
+//!    free the leader takes the batch and sweeps at once; while every lane
+//!    is sweeping it waits for the first of: a finishing executor handing
+//!    its lane over, the batch reaching [`ServeConfig::max_batch`], the
+//!    (pressure-adjusted) [`ServeConfig::window`] running out, or its own
+//!    deadline. Batches therefore grow out of contention — arrivals pile up
+//!    behind busy lanes and are fused into the next sweep — and an idle
+//!    front adds no wait at all.
 //! 4. **Fused sweep** — the leader executes the shared plan: **one fused
-//!    sweep per touched RSPN member per window**, tiles spread over the
+//!    sweep per touched RSPN member per batch**, tiles spread over the
 //!    ensemble's persistent worker pool, with a batch-wide [`CancelFlag`]
 //!    checked at every tile claim.
 //! 5. **Demux** — per-client slices are extracted back out
@@ -37,10 +43,10 @@
 //! * **Deadlines** — a per-query deadline cancels shared sweeps
 //!   cooperatively at tile boundaries (only once *every* co-batched query's
 //!   deadline has passed — shared work is cancelled only when nobody wants
-//!   it) and bounds the client's wait on its result slot. Misses surface as
-//!   [`DeepDbError::DeadlineExceeded`] and shrink the batching window
-//!   (graceful degradation: less batching latency under pressure, window
-//!   recovery on clean batches).
+//!   it) and bounds the client's wait on its result slot and, for a leader,
+//!   on a busy lane. Misses surface as [`DeepDbError::DeadlineExceeded`]
+//!   and shrink the window (graceful degradation: less batching latency
+//!   under pressure, window recovery on clean batches).
 //! * **Panic isolation** — a panic inside the fused sweep aborts only the
 //!   shared execution; the leader re-executes every co-batched query
 //!   *individually* under its own `catch_unwind`, so the faulty query alone
@@ -95,11 +101,15 @@ pub enum FaultSite {
 
 const N_SITES: usize = 4;
 
-/// What the injector decided for one hook invocation.
-#[derive(Clone, Copy)]
-enum Injected {
+/// What the injector does at one hook invocation: the outcome of a rate
+/// draw, or one step of a [`FaultPlan::with_script`] script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Panic inside the hook.
     Panic,
-    Delay,
+    /// Sleep this long, then carry on.
+    Delay(Duration),
+    /// Bump the plan epoch (simulated mid-flight maintenance).
     EpochBump,
 }
 
@@ -115,10 +125,11 @@ pub struct FaultPlan {
     delay_per_1024: u32,
     bump_per_1024: u32,
     delay: Duration,
-    /// Remaining panics this plan may inject (defaults to unlimited).
-    panic_budget: AtomicU64,
     /// When set, faults inject at this site only.
     only: Option<FaultSite>,
+    /// Per-site scripted outcomes for the first invocations (see
+    /// [`FaultPlan::with_script`]).
+    scripts: [Vec<Option<Fault>>; N_SITES],
     counters: [AtomicU64; N_SITES],
 }
 
@@ -138,8 +149,8 @@ impl FaultPlan {
             delay_per_1024: 0,
             bump_per_1024: 0,
             delay: Duration::from_millis(1),
-            panic_budget: AtomicU64::new(u64::MAX),
             only: None,
+            scripts: Default::default(),
             counters: Default::default(),
         }
     }
@@ -164,19 +175,24 @@ impl FaultPlan {
         self
     }
 
-    /// Cap the total number of panics this plan will ever inject (the
-    /// budget spends across all sites; further panic draws become no-ops).
-    /// Lets tests stage an exact fault sequence — e.g. "panic the fused
-    /// sweep once, then the first isolated re-execution, then behave".
-    pub fn with_panic_budget(self, n: u64) -> Self {
-        self.panic_budget.store(n, Ordering::Relaxed);
-        self
-    }
-
     /// Restrict injection to one site (e.g. only [`FaultSite::TileStart`]
     /// to fault sweeps while leaving the serve layer clean).
     pub fn only_at(mut self, site: FaultSite) -> Self {
         self.only = Some(site);
+        self
+    }
+
+    /// Script the first invocations at `site`: invocation `n` gets `steps[n]`
+    /// (`None` = behave) instead of a rate draw, whatever `only_at` says;
+    /// invocations past the script draw from the rates as if the script
+    /// were absent. Lets tests stage an exact sequence across kinds — e.g.
+    /// "delay the first sweep tile, panic the next two, then behave".
+    pub fn with_script(
+        mut self,
+        site: FaultSite,
+        steps: impl IntoIterator<Item = Option<Fault>>,
+    ) -> Self {
+        self.scripts[site as usize] = steps.into_iter().collect();
         self
     }
 
@@ -185,8 +201,14 @@ impl FaultPlan {
         self.counters[site as usize].load(Ordering::Relaxed)
     }
 
-    fn decide(&self, site: FaultSite) -> Option<Injected> {
+    fn decide(&self, site: FaultSite) -> Option<Fault> {
         let n = self.counters[site as usize].fetch_add(1, Ordering::Relaxed);
+        if let Some(&step) = usize::try_from(n)
+            .ok()
+            .and_then(|n| self.scripts[site as usize].get(n))
+        {
+            return step;
+        }
         if self.only.is_some_and(|s| s != site) {
             return None;
         }
@@ -197,15 +219,11 @@ impl FaultPlan {
         );
         let r = (h % 1024) as u32;
         if r < self.panic_per_1024 {
-            let in_budget = self
-                .panic_budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                .is_ok();
-            in_budget.then_some(Injected::Panic)
+            Some(Fault::Panic)
         } else if r < self.panic_per_1024 + self.delay_per_1024 {
-            Some(Injected::Delay)
+            Some(Fault::Delay(self.delay))
         } else if r < self.panic_per_1024 + self.delay_per_1024 + self.bump_per_1024 {
-            Some(Injected::EpochBump)
+            Some(Fault::EpochBump)
         } else {
             None
         }
@@ -216,9 +234,9 @@ impl FaultPlan {
     /// pool has no ensemble handle).
     fn tile_fault(&self, ens: &Ensemble) -> Option<TileFault> {
         match self.decide(FaultSite::TileStart) {
-            Some(Injected::Panic) => Some(TileFault::Panic),
-            Some(Injected::Delay) => Some(TileFault::Delay(self.delay)),
-            Some(Injected::EpochBump) => {
+            Some(Fault::Panic) => Some(TileFault::Panic),
+            Some(Fault::Delay(d)) => Some(TileFault::Delay(d)),
+            Some(Fault::EpochBump) => {
                 ens.invalidate_plans();
                 None
             }
@@ -237,14 +255,18 @@ pub struct ServeConfig {
     /// Max concurrently admitted requests (queued + executing); beyond it,
     /// `serve` rejects with [`DeepDbError::Overloaded`].
     pub queue_capacity: usize,
-    /// A forming batch executes as soon as it holds this many requests.
+    /// A forming batch executes as soon as it holds this many requests,
+    /// busy lanes or not; `1` disables batching (every request sweeps
+    /// alone).
     pub max_batch: usize,
-    /// How long a batch leader waits for co-batched arrivals. Shrunk
-    /// (halved per consecutive deadline miss) under deadline pressure,
-    /// restored on clean batches; `0` disables batching entirely (every
-    /// request sweeps alone).
+    /// The longest a batch leader waits for a sweep lane before sweeping
+    /// anyway (it never waits while a lane is free). Shrunk (halved per
+    /// consecutive deadline miss) under deadline pressure, restored on
+    /// clean batches; `0` disables batching (every request sweeps alone).
     pub window: Duration,
-    /// Worker-thread cap for fused sweeps (`0` = the ensemble's budget).
+    /// Worker-thread cap for fused sweeps (`0` = the ensemble's budget),
+    /// and with it the number of sweep lanes: how many batches sweep side
+    /// by side before the next leader waits and its batch grows.
     pub threads: usize,
 }
 
@@ -283,7 +305,7 @@ pub struct ServeStats {
     pub fused_requests: u64,
     /// Per-client isolated re-executions after a fused-sweep panic.
     pub isolated_fallbacks: u64,
-    /// Batches whose window closed with a single entry, served through the
+    /// Batches taken with a single entry, served through the
     /// direct solo fast path (no fuse/demux).
     pub solo_fastpath: u64,
 }
@@ -358,6 +380,8 @@ struct FormingBatch {
 struct FrontState {
     in_flight: usize,
     forming: Option<FormingBatch>,
+    /// Batches taken from `forming` and not yet demuxed — the busy lanes.
+    executing: usize,
 }
 
 /// Fills every still-empty slot of a batch with `QueryPanicked` on drop —
@@ -400,15 +424,29 @@ impl Drop for AdmissionGuard<'_, '_> {
     }
 }
 
+/// Frees the executor's sweep lane on drop — on every path out of batch
+/// execution, unwinds included — and wakes the leader waiting for it.
+struct LaneGuard<'f, 'a> {
+    front: &'f ServeFront<'a>,
+}
+
+impl Drop for LaneGuard<'_, '_> {
+    fn drop(&mut self) {
+        self.front.lock_state().executing -= 1;
+        self.front.batch_cv.notify_all();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The front-end
 // ---------------------------------------------------------------------------
 
-/// A concurrent serving front-end over `&Ensemble`: bounded admission, a
-/// batching window fusing co-arriving queries' probes into shared
-/// per-member sweeps, per-query deadlines with cooperative cancellation,
-/// panic isolation, and one-shot retry on mid-flight maintenance. See the
-/// module docs for the lifecycle and the robustness contract.
+/// A concurrent serving front-end over `&Ensemble`: bounded admission,
+/// load-driven batching that fuses the probes of queries queued behind busy
+/// sweep lanes into shared per-member sweeps, per-query deadlines with
+/// cooperative cancellation, panic isolation, and one-shot retry on
+/// mid-flight maintenance. See the module docs for the lifecycle and the
+/// robustness contract.
 ///
 /// `ServeFront` is `Sync`: clients call [`ServeFront::serve`] concurrently
 /// through a shared reference (typically one `ServeFront` per process,
@@ -419,7 +457,7 @@ pub struct ServeFront<'a> {
     cfg: ServeConfig,
     faults: Option<Arc<FaultPlan>>,
     state: Mutex<FrontState>,
-    /// Batch leaders wait here for their batch to fill.
+    /// A batch leader waits here for a free lane or a full batch.
     batch_cv: Condvar,
     /// Window shrink exponent under deadline pressure.
     shrink: AtomicU32,
@@ -449,6 +487,7 @@ impl<'a> ServeFront<'a> {
             state: Mutex::new(FrontState {
                 in_flight: 0,
                 forming: None,
+                executing: 0,
             }),
             batch_cv: Condvar::new(),
             shrink: AtomicU32::new(0),
@@ -485,7 +524,7 @@ impl<'a> ServeFront<'a> {
         }
     }
 
-    /// The batching window currently in effect: the configured window
+    /// The lane-wait bound currently in effect: the configured window
     /// halved once per consecutive deadline miss (graceful degradation),
     /// restored step by step on clean batches.
     pub fn effective_window(&self) -> Duration {
@@ -511,9 +550,9 @@ impl<'a> ServeFront<'a> {
     fn fire(&self, site: FaultSite) {
         if let Some(fp) = &self.faults {
             match fp.decide(site) {
-                Some(Injected::Panic) => panic!("injected fault at {site:?}"),
-                Some(Injected::Delay) => std::thread::sleep(fp.delay),
-                Some(Injected::EpochBump) => self.ens.invalidate_plans(),
+                Some(Fault::Panic) => panic!("injected fault at {site:?}"),
+                Some(Fault::Delay(d)) => std::thread::sleep(d),
+                Some(Fault::EpochBump) => self.ens.invalidate_plans(),
                 None => {}
             }
         }
@@ -579,7 +618,7 @@ impl<'a> ServeFront<'a> {
     }
 
     /// Serve a [`PreparedQuery`] with fresh literals. Prepared execution is
-    /// the zero-allocation inline path, so it bypasses the batching window;
+    /// the zero-allocation inline path, so it bypasses batching;
     /// it still gets admission control, deadline accounting, panic
     /// isolation, and — the serving contract for mid-flight maintenance —
     /// an automatic one-shot **re-prepare-and-retry** on
@@ -684,7 +723,7 @@ impl<'a> ServeFront<'a> {
             leader
         };
         if leader {
-            self.lead_batch();
+            self.lead_batch(deadline);
         }
         let results = match slot.wait(deadline) {
             Ok(r) => r,
@@ -699,39 +738,46 @@ impl<'a> ServeFront<'a> {
         obtained.resolver().resolve_single(&results)
     }
 
-    /// Leader role: wait out the batching window (or until the batch is
-    /// full), take the batch, execute and demux it. The leader's own slot
+    /// Leader role: take the batch at once if a sweep lane is free;
+    /// otherwise wait for a finishing executor to free one, bounded by a
+    /// full batch, the window and `deadline` (the leader's own). Then
+    /// execute and demux the batch on the lane taken. The leader's own slot
     /// is filled along with everyone else's.
-    fn lead_batch(&self) {
+    fn lead_batch(&self, deadline: Option<Instant>) {
         let window = self.effective_window();
+        let lanes = match self.cfg.threads {
+            0 => self.ens.probe_thread_budget(),
+            n => n,
+        };
         let full = |st: &FrontState| {
             st.forming
                 .as_ref()
                 .is_none_or(|f| f.entries.len() >= self.cfg.max_batch.max(1))
         };
-        let batch = {
-            let mut st = self.lock_state();
-            if !window.is_zero() {
-                let end = st.forming.as_ref().map(|f| f.opened + window);
-                if let Some(end) = end {
-                    while !full(&st) {
-                        let now = Instant::now();
-                        if now >= end {
-                            break;
-                        }
-                        let (g, _) = self
-                            .batch_cv
-                            .wait_timeout(st, end - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        st = g;
+        let mut st = self.lock_state();
+        if !window.is_zero() {
+            if let Some(opened) = st.forming.as_ref().map(|f| f.opened) {
+                let end = deadline.map_or(opened + window, |d| d.min(opened + window));
+                while st.executing >= lanes && !full(&st) {
+                    let now = Instant::now();
+                    if now >= end {
+                        break;
                     }
+                    let (g, _) = self
+                        .batch_cv
+                        .wait_timeout(st, end - now)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    st = g;
                 }
             }
-            st.forming.take()
-        };
-        if let Some(batch) = batch {
-            self.execute_batch(batch);
         }
+        let Some(batch) = st.forming.take() else {
+            return;
+        };
+        st.executing += 1;
+        drop(st);
+        let _lane = LaneGuard { front: self };
+        self.execute_batch(batch);
     }
 
     /// Execute a taken batch: one fused sweep per touched member, then
@@ -749,7 +795,7 @@ impl<'a> ServeFront<'a> {
         let guard = FillGuard { entries: &entries };
 
         if entries.len() == 1 {
-            // Single-client fast path: the window closed with one entry, so
+            // Single-client fast path: the batch was taken with one entry, so
             // the fused plan is that entry's solo plan plus stitch/demux
             // overhead. Execute the solo plan directly — its results already
             // carry the plan id the client's resolver expects.
@@ -881,11 +927,7 @@ mod tests {
         for _ in 0..2048 {
             let da = a.decide(FaultSite::Admission);
             let db = b.decide(FaultSite::Admission);
-            assert_eq!(
-                std::mem::discriminant(&da.unwrap_or(Injected::Delay)),
-                std::mem::discriminant(&db.unwrap_or(Injected::Delay)),
-            );
-            assert_eq!(da.is_none(), db.is_none());
+            assert_eq!(da, db);
         }
         // Different seeds diverge somewhere in the first 2048 draws.
         let c = FaultPlan::new(8).with_panics(100);
@@ -898,6 +940,28 @@ mod tests {
             }
         }
         assert!(diverged);
+    }
+
+    #[test]
+    fn script_runs_first_then_the_rate_sequence_resumes_unshifted() {
+        let steps = [
+            Some(Fault::Delay(Duration::from_millis(3))),
+            None,
+            Some(Fault::Panic),
+        ];
+        let rates = || FaultPlan::new(7).with_panics(100).with_epoch_bumps(100);
+        let plain = rates();
+        let scripted = rates().with_script(FaultSite::TileStart, steps);
+        for n in 0..512 {
+            let drawn = plain.decide(FaultSite::TileStart);
+            let got = scripted.decide(FaultSite::TileStart);
+            assert_eq!(got, steps.get(n).copied().unwrap_or(drawn), "draw {n}");
+            // Unscripted sites never see the script.
+            assert_eq!(
+                scripted.decide(FaultSite::Admission),
+                plain.decide(FaultSite::Admission)
+            );
+        }
     }
 
     #[test]

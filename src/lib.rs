@@ -93,8 +93,9 @@ pub use deepdb_storage as storage;
 // Flat re-exports of the primary public API.
 pub use deepdb_core::{
     compile, execute_aqp, ml, query_literals, AqpOutput, AqpResult, CacheStats, DeepDbError,
-    Ensemble, EnsembleBuilder, EnsembleParams, EnsembleStrategy, Estimate, FaultPlan, FaultSite,
-    FunctionalDependency, JoinOrderer, PreparedQuery, Rspn, ServeConfig, ServeFront, ServeStats,
+    Ensemble, EnsembleBuilder, EnsembleParams, EnsembleStrategy, Estimate, Fault, FaultPlan,
+    FaultSite, FunctionalDependency, JoinOrderer, PreparedQuery, Rspn, ServeConfig, ServeFront,
+    ServeStats,
 };
 pub use deepdb_storage::{
     execute, execute_ordered, execute_ordered_with_stats, Aggregate, CmpOp, ColumnRef, Database,
