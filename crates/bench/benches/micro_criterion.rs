@@ -210,7 +210,7 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
 
         // The determinism contract the speedup rests on: SIMD kernels are
         // bitwise equal to the scalar reference path.
-        let simd = ev.evaluate(&compiled, &batch);
+        let simd = ev.evaluate(&compiled, &batch, None);
         let scalar = ev.evaluate_scalar(&compiled, &batch);
         for (i, (a, b)) in simd.iter().zip(&scalar).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "batch {size}, query {i}");
@@ -226,7 +226,7 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             })
         });
         c.bench_function(&format!("batched_vs_recursive/batched_{size}"), |b| {
-            b.iter(|| ev.evaluate(&compiled, &batch))
+            b.iter(|| ev.evaluate(&compiled, &batch, None))
         });
         c.bench_function(
             &format!("batched_vs_recursive/batched_scalar_{size}"),
@@ -241,7 +241,7 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             }
             acc
         });
-        let bat_ns = median_ns_per_query(64, size, || ev.evaluate(&compiled, &batch)[0]);
+        let bat_ns = median_ns_per_query(64, size, || ev.evaluate(&compiled, &batch, None)[0]);
         let sca_ns = median_ns_per_query(64, size, || ev.evaluate_scalar(&compiled, &batch)[0]);
         summary.push((size, rec_ns, bat_ns, sca_ns));
     }

@@ -103,7 +103,7 @@ fn bench_mpe_batch(c: &mut Criterion) {
     // Acceptance first: compiled ≡ recursive on every probe, and the SIMD
     // kernels ≡ the scalar reference path bitwise.
     let mut ev = MaxProductEvaluator::new();
-    let compiled_out = ev.evaluate(&arena, &probes);
+    let compiled_out = ev.evaluate(&arena, &probes, None);
     let scalar_out = ev.evaluate_scalar(&arena, &probes);
     for (i, p) in probes.iter().enumerate() {
         let (score, value) = spn.mpe_outcome(p.target, &p.query);
@@ -120,7 +120,7 @@ fn bench_mpe_batch(c: &mut Criterion) {
     for batch in [1usize, 16, 256] {
         let slice = &probes[..batch];
         c.bench_function(&format!("mpe_batch/{batch}/compiled"), |b| {
-            b.iter(|| ev.evaluate(&arena, slice))
+            b.iter(|| ev.evaluate(&arena, slice, None))
         });
         c.bench_function(&format!("mpe_batch/{batch}/compiled_scalar"), |b| {
             b.iter(|| ev.evaluate_scalar(&arena, slice))
@@ -133,7 +133,7 @@ fn bench_mpe_batch(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
         });
-        let compiled_ns = median_ns(reps, || ev.evaluate(&arena, slice)) / batch as f64;
+        let compiled_ns = median_ns(reps, || ev.evaluate(&arena, slice, None)) / batch as f64;
         let scalar_ns = median_ns(reps, || ev.evaluate_scalar(&arena, slice)) / batch as f64;
         let recursive_ns = median_ns(reps, || {
             slice

@@ -106,8 +106,8 @@ fn bench_sweep_prune(c: &mut Criterion) {
 
         // Acceptance first: pruned ≡ full, bitwise, on every query.
         let mut ev = BatchEvaluator::new();
-        let full = ev.evaluate(&arena, queries);
-        let pruned = ev.evaluate_pruned(&arena, queries, &active);
+        let full = ev.evaluate(&arena, queries, None);
+        let pruned = ev.evaluate(&arena, queries, Some(&active));
         for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
             assert_eq!(
                 p.to_bits(),
@@ -117,15 +117,15 @@ fn bench_sweep_prune(c: &mut Criterion) {
         }
 
         c.bench_function(&format!("sweep_prune/{name}/full"), |b| {
-            b.iter(|| std::hint::black_box(ev.evaluate(&arena, queries)))
+            b.iter(|| std::hint::black_box(ev.evaluate(&arena, queries, None)))
         });
-        let full_ns = median_ns(reps, || ev.evaluate(&arena, queries)) / BATCH as f64;
+        let full_ns = median_ns(reps, || ev.evaluate(&arena, queries, None)) / BATCH as f64;
 
         c.bench_function(&format!("sweep_prune/{name}/pruned"), |b| {
-            b.iter(|| std::hint::black_box(ev.evaluate_pruned(&arena, queries, &active)))
+            b.iter(|| std::hint::black_box(ev.evaluate(&arena, queries, Some(&active))))
         });
         let pruned_ns =
-            median_ns(reps, || ev.evaluate_pruned(&arena, queries, &active)) / BATCH as f64;
+            median_ns(reps, || ev.evaluate(&arena, queries, Some(&active))) / BATCH as f64;
 
         rows.push((*name, active.active_fraction(), full_ns, pruned_ns));
     }

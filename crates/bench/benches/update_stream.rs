@@ -145,7 +145,7 @@ fn bench_update_stream(c: &mut Criterion) {
         c.bench_function(&format!("update_stream/{label}/patch"), |b| {
             b.iter(|| {
                 patched.insert_batch(&mut arena, &tuples);
-                let r = ev.evaluate(&arena, &probes);
+                let r = ev.evaluate(&arena, &probes, None);
                 patched.delete_batch(&mut arena, &tuples);
                 r
             })
@@ -156,7 +156,7 @@ fn bench_update_stream(c: &mut Criterion) {
                     baseline.insert(t);
                 }
                 let compiled = baseline.compile();
-                let r = ev.evaluate(&compiled, &probes);
+                let r = ev.evaluate(&compiled, &probes, None);
                 for t in &tuples {
                     baseline.delete(t);
                 }
@@ -187,8 +187,8 @@ fn bench_update_stream(c: &mut Criterion) {
             arena.bitwise_eq(&patched.compile()),
             "{label}: patch drifted"
         );
-        let want = ev.evaluate(&baseline.compile(), &probes);
-        let got = ev.evaluate(&arena, &probes);
+        let want = ev.evaluate(&baseline.compile(), &probes, None);
+        let got = ev.evaluate(&arena, &probes, None);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "{label}: paths diverged");

@@ -1,39 +1,51 @@
-//! Cross-query plan caching and prepared queries.
+//! The plan cache: one execute path for every scalar query.
 //!
 //! PR 5 established that **planning is value-independent**: member selection
 //! (`best_covering_rspn` / `best_rspn_with` / the Case-3 combine planner)
 //! and predicate translation structure depend only on schema, ensemble
 //! coverage, and the *columns* predicates touch — never on the literal
 //! values. Production traffic repeats query **shapes** with different
-//! literals, so the FK-graph walks, RDC scoring, and `SpnQuery` translation
-//! can be done once per shape and reused.
+//! literals, so planning is done once per shape and everything after it is
+//! one cycle: **entry → checkout → run → resolve → check-in**.
 //!
-//! Three cache tiers live behind one LRU map ([`PlanCache`], owned
-//! runtime-only by [`Ensemble`]):
+//! * An **entry** ([`PlanArtifact`], keyed by [`QueryShape`] in the LRU map
+//!   of [`PlanCache`], owned runtime-only by [`Ensemble`]) is the frozen
+//!   result of planning a shape: the registered template [`ProbePlan`], its
+//!   deferred [`Resolver`], the **literal binds** mapping flat
+//!   probe-literal positions back to query-literal indices, one pruning
+//!   [`ActiveSet`] per touched member pinned at build time, and an idle
+//!   pool of **working sets** — a plan clone plus the [`PlanScratch`]
+//!   (pre-sized results, the pinned sets) it executes into. Leaf-value
+//!   tables are not part of it: they are per thread and per member
+//!   ([`ProbePlan::run`]), so an entry costs a few KB however it is swept.
+//! * A [`Checkout`] is lookup-or-build, pop-or-clone a working set, rebind
+//!   the literals in place — the only way a scalar query executes. A
+//!   one-shot `estimate_*` / `execute_aqp` scalar holds its checkout for
+//!   one call, a [`PreparedQuery`] until it is dropped, a `ServeFront`
+//!   request hands it to its batch. A plan-cache hit therefore *is* a
+//!   prepared execute: no plan clone, no result or table allocation, the
+//!   cache lock taken once.
+//! * **run** is the one plan runner ([`ProbePlan::run`]); **resolve** reads
+//!   the working set's results through the entry's resolver; dropping the
+//!   checkout **checks the working set back in** for the next holder.
 //!
-//! * **Full plan artifacts** (`COUNT`/`AVG`/`SUM`/disjunction/AQP-scalar
-//!   entry points): the fully-registered [`ProbePlan`] plus its deferred
-//!   resolver, with **literal binds** mapping flat probe-literal positions
-//!   back to query-literal indices. A hit clones the plan, rewrites just the
-//!   bound `f64` slots, executes, and resolves — zero planning work.
-//! * **Grouped templates** ([`ScalarTemplate`] for GROUP BY / batched
-//!   count-values): keyed on shape **plus literal bits** (templates bake
-//!   translated shared-predicate literals into their base queries, so only
-//!   exact literal matches may share one).
-//! * **Selection preludes**: the covering-member choice of the
-//!   count-values fast path and the ML entry points' (member, target
-//!   column, normalization factors) prelude — pure member selection, safely
-//!   shared across literals.
-//! * **Pruning active sets** ([`active_set_for`]): per `(member,
-//!   constrained-column union)` shape, the compacted sub-DAG a sweep may
-//!   restrict itself to ([`deepdb_spn::ActiveSet`]). **Bitwise contract**:
-//!   a pruned sweep is bitwise identical to the full sweep — pruned-away
-//!   nodes are seeded from the arena's cached neutral (empty-query) values,
-//!   which are exactly the values the full sweep computes for nodes none of
-//!   the batch's probes constrain. Column unions are literal-independent,
-//!   so one set serves every rebind of a shape; [`PreparedQuery`] pins its
-//!   members' sets at prepare time and prunes with zero per-execute
-//!   discovery.
+//! Shapes whose binds cannot be discovered (below) and ensembles with the
+//! cache switched off go through the same type: their checkout owns a plan
+//! built for exactly its literals, and new literals mean a new plan.
+//!
+//! The LRU map also memoizes **grouped templates** ([`ScalarTemplate`] for
+//! GROUP BY / batched count-values, keyed on shape **plus literal bits** —
+//! templates bake translated shared-predicate literals into their base
+//! queries, so only exact literal matches may share one) and literal-free
+//! **selection preludes** (the covering member of the count-values fast
+//! path; the ML entry points' member / target column / normalization
+//! factors). A side table holds the **pruning active sets**
+//! ([`active_set_for`]): per `(member, constrained-column union)`, the
+//! compacted sub-DAG a sweep may restrict itself to. **Bitwise contract**:
+//! a pruned sweep is bitwise identical to the full sweep — pruned-away
+//! nodes are seeded from the arena's cached neutral (empty-query) values,
+//! exactly what the full sweep computes for nodes no probe constrains.
+//! Column unions are literal-independent, so one set serves every rebind.
 //!
 //! # Literal binds via sentinel discovery
 //!
@@ -53,30 +65,23 @@
 //! shape. **Conservative by construction**: a query either gets a provably
 //! value-independent artifact or plans cold like before.
 //!
-//! # Prepared queries
-//!
-//! [`Ensemble::prepare`] turns a scalar aggregate query into a
-//! [`PreparedQuery`]: planning, translation, and bind discovery happen once;
-//! [`PreparedQuery::execute`] only rewrites the bound literal slots in a
-//! pre-sized plan and runs one inline fused sweep per member
-//! ([`ProbePlan::execute_into`] over a reusable
-//! [`InlineSweep`]) into pre-sized results — **zero allocations** in steady
-//! state. Shapes whose binds cannot be discovered still prepare, but fall
-//! back to cold planning per execution (see [`PreparedQuery::is_bound`]).
-//!
 //! # Invalidation
 //!
-//! Every cache key embeds the ensemble's **plan epoch**
-//! ([`Ensemble::plan_epoch`]), bumped by `recompile_models` and every
-//! coverage-/count-changing maintenance operation (inserts, deletes, join
-//! count refreshes). Stale entries can never hit again and die lazily
-//! through LRU eviction; a [`PreparedQuery`] from an old epoch fails its
-//! next `execute` with [`DeepDbError::StalePlan`].
+//! The cache carries **one epoch stamp**. Every access presents the
+//! ensemble's **plan epoch** ([`Ensemble::plan_epoch`], bumped by
+//! `recompile_models` and every coverage-/count-changing maintenance
+//! operation); the first access at a newer epoch drops every plan entry,
+//! memoized selection and active set together and advances the stamp, which
+//! only moves forward — a late reader of an older epoch finds nothing and
+//! inserts nothing. Working sets die with their entry, so dead epochs pin
+//! no scratch. A [`PreparedQuery`] from an old epoch fails its next
+//! `execute` with [`DeepDbError::StalePlan`].
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use deepdb_spn::{ActiveSet, InlineSweep};
+use deepdb_spn::{ActiveSet, CancelFlag, TileFaultFn};
 use deepdb_storage::{
     Aggregate, CmpOp, ColId, ColumnRef, Database, PredOp, Predicate, Query, TableId, Value,
 };
@@ -87,7 +92,7 @@ use crate::compile::{
 };
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
-use crate::plan::{ProbePlan, ProbeResults};
+use crate::plan::{PlanScratch, ProbePlan, ProbeResults};
 use crate::DeepDbError;
 
 /// Default [`PlanCache`] capacity (entries across all tiers). `0` disables
@@ -174,7 +179,6 @@ fn pred_shapes(preds: &[Predicate]) -> Vec<PredShape> {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct QueryShape {
     tag: u8,
-    epoch: u64,
     tables: Vec<TableId>,
     agg: (u8, TableId, ColId),
     group_cols: Vec<(TableId, ColId)>,
@@ -197,6 +201,18 @@ pub(crate) enum ArtifactKind {
     AqpScalar,
 }
 
+impl ArtifactKind {
+    /// The single-estimate artifact a scalar `query` executes through
+    /// (`prepare`, `ServeFront::serve`).
+    pub(crate) fn of(query: &Query) -> Self {
+        match query.aggregate {
+            Aggregate::CountStar => ArtifactKind::Count,
+            Aggregate::Avg(t) => ArtifactKind::Avg(t),
+            Aggregate::Sum(t) => ArtifactKind::Sum(t),
+        }
+    }
+}
+
 fn agg_code(kind: ArtifactKind, query: &Query) -> (u8, TableId, ColId) {
     match kind {
         ArtifactKind::Count => (0, 0, 0),
@@ -210,12 +226,7 @@ fn agg_code(kind: ArtifactKind, query: &Query) -> (u8, TableId, ColId) {
     }
 }
 
-fn artifact_shape(
-    epoch: u64,
-    query: &Query,
-    kind: ArtifactKind,
-    disjuncts: &[Vec<Predicate>],
-) -> QueryShape {
+fn artifact_shape(query: &Query, kind: ArtifactKind, disjuncts: &[Vec<Predicate>]) -> QueryShape {
     let tag = match (kind, disjuncts.is_empty()) {
         (ArtifactKind::Count, true) => 0,
         (ArtifactKind::Count, false) => 1,
@@ -225,7 +236,6 @@ fn artifact_shape(
     };
     QueryShape {
         tag,
-        epoch,
         tables: query.tables.clone(),
         agg: agg_code(kind, query),
         group_cols: Vec::new(),
@@ -239,9 +249,37 @@ fn artifact_shape(
 // Literal extraction / substitution
 // ---------------------------------------------------------------------------
 
-/// Walk the literal slots of a predicate list in canonical order — predicate
+/// Read the literals of a predicate list in canonical order — predicate
 /// order, within `Cmp` the value, within `Between` lo then hi, within `In`
-/// the elements in order, non-NULL slots only — calling `f` on each.
+/// the elements in order, non-NULL slots only — calling `f` on each as
+/// `f64`. With `tables`, predicates on other tables are skipped (a join
+/// subset's bind vector is exactly that restriction, because literal order
+/// is predicate order). The one read-only walker behind [`query_literals`],
+/// [`Checkout`] and the join-order enumerator.
+pub(crate) fn for_each_literal(
+    preds: &[Predicate],
+    tables: Option<&[TableId]>,
+    mut f: impl FnMut(f64),
+) {
+    for p in preds {
+        if tables.is_some_and(|ts| !ts.contains(&p.table)) {
+            continue;
+        }
+        match &p.op {
+            PredOp::Cmp(_, v) => v.as_f64().into_iter().for_each(&mut f),
+            PredOp::Between(lo, hi) => [lo, hi]
+                .into_iter()
+                .filter_map(Value::as_f64)
+                .for_each(&mut f),
+            PredOp::In(vs) => vs.iter().filter_map(Value::as_f64).for_each(&mut f),
+            PredOp::IsNull | PredOp::IsNotNull => {}
+        }
+    }
+}
+
+/// [`for_each_literal`]'s mutable twin, for the two places that *write*
+/// literal slots: the sentinel build of bind discovery and the re-plan of an
+/// unbindable shape.
 fn walk_pred_literals(preds: &mut [Predicate], mut f: impl FnMut(&mut Value)) {
     for p in preds {
         match &mut p.op {
@@ -269,22 +307,15 @@ fn walk_pred_literals(preds: &mut [Predicate], mut f: impl FnMut(&mut Value)) {
     }
 }
 
-fn collect_pred_literals(preds: &[Predicate], out: &mut Vec<f64>) {
-    let mut preds = preds.to_vec();
-    walk_pred_literals(&mut preds, |v| {
-        out.push(v.as_f64().expect("non-NULL literal"));
-    });
-}
-
 /// Every non-NULL literal of the query (and disjuncts, in order) as `f64` —
 /// the **bind vector** of the query's shape. This is the order
 /// [`PreparedQuery::execute`] expects its `literals` argument in; the
 /// convenience extractor [`query_literals`] exposes it publicly.
 fn collect_all_literals(query: &Query, disjuncts: &[Vec<Predicate>]) -> Vec<f64> {
     let mut out = Vec::new();
-    collect_pred_literals(&query.predicates, &mut out);
+    for_each_literal(&query.predicates, None, |v| out.push(v));
     for d in disjuncts {
-        collect_pred_literals(d, &mut out);
+        for_each_literal(d, None, |v| out.push(v));
     }
     out
 }
@@ -352,28 +383,27 @@ pub(crate) enum Resolver {
 }
 
 impl Resolver {
-    pub(crate) fn resolve_single(&self, r: &ProbeResults) -> Result<Estimate, DeepDbError> {
-        match self {
-            Resolver::Count(d) => d.resolve(r),
-            Resolver::Avg(d) => Ok(d.resolve(r)),
-            Resolver::Sum { count_nn, avg } => Ok(count_nn.resolve(r)?.product(avg.resolve(r))),
+    /// The entry point's estimate, plus — for AQP scalar artifacts only —
+    /// the COUNT estimate `execute_aqp` reports beside it.
+    fn resolve(&self, r: &ProbeResults) -> Result<(Estimate, Option<Estimate>), DeepDbError> {
+        let single = match self {
+            Resolver::Count(d) => d.resolve(r)?,
+            Resolver::Avg(d) => d.resolve(r),
+            Resolver::Sum { count_nn, avg } => count_nn.resolve(r)?.product(avg.resolve(r)),
             Resolver::Disjunction(terms) => {
                 let mut total = Estimate::exact(0.0);
                 for (sign, d) in terms {
                     total = total.add(d.resolve(r)?.scale(*sign));
                 }
                 total.value = total.value.max(0.0);
-                Ok(total)
+                total
             }
-            Resolver::Scalar(_) => unreachable!("AQP scalar artifacts resolve to a pair"),
-        }
-    }
-
-    fn resolve_pair(&self, r: &ProbeResults) -> Result<(Estimate, Estimate), DeepDbError> {
-        match self {
-            Resolver::Scalar(d) => resolve_scalar(d, r),
-            _ => unreachable!("single-estimate artifacts resolve via resolve_single"),
-        }
+            Resolver::Scalar(d) => {
+                let (agg, count) = resolve_scalar(d, r)?;
+                return Ok((agg, Some(count)));
+            }
+        };
+        Ok((single, None))
     }
 }
 
@@ -449,16 +479,51 @@ fn build_artifact(
     Ok((plan, resolver))
 }
 
-/// A cached, rebindable plan: the registered probe plan, its resolver, and
-/// the discovered literal binds. Shared via `Arc` — hits clone only the
-/// [`ProbePlan`] (the derived clone preserves the plan id, so the stored
-/// resolver's handles resolve against the clone's results).
+/// A plan-cache entry: the frozen artifact of planning one query shape —
+/// template plan, resolver, discovered literal binds, the members' pruning
+/// sets pinned at build time — plus the idle pool of working sets checked
+/// in by earlier holders. Shared via `Arc`, so an entry evicted (or dropped
+/// by an epoch change) while checked out lives until its last holder lets
+/// go.
 pub(crate) struct PlanArtifact {
     plan: ProbePlan,
     resolver: Resolver,
     /// `(flat literal position, query literal index)`, sorted by position.
     binds: Vec<(u32, u32)>,
     n_literals: usize,
+    /// One per plan member, in member order (column shapes never change
+    /// across rebinds, so every working set prunes with zero discovery).
+    actives: Vec<Arc<ActiveSet>>,
+    /// At most one working set per holder that was ever concurrent.
+    idle: Mutex<Vec<WorkingSet>>,
+}
+
+/// What one execution mutates: a plan whose bound literal slots are
+/// rewritten in place and the scratch its sweep writes. For a cache entry's
+/// working sets the plan is a clone of the template (the derived clone keeps
+/// the plan id, so the entry's resolver reads every working set's results).
+struct WorkingSet {
+    plan: ProbePlan,
+    scratch: PlanScratch,
+}
+
+impl PlanArtifact {
+    fn lock_idle(&self) -> MutexGuard<'_, Vec<WorkingSet>> {
+        // Only `pop`/`push` run under this lock, so a poisoned pool is
+        // intact; check-in also happens in `Drop`, which must not panic.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Pop an idle working set, or clone a new one from the template.
+    fn working_set(&self) -> WorkingSet {
+        if let Some(w) = self.lock_idle().pop() {
+            return w;
+        }
+        WorkingSet {
+            plan: self.plan.clone(),
+            scratch: PlanScratch::new(&self.plan, self.actives.clone()),
+        }
+    }
 }
 
 /// Diff the real build against a sentinel build to locate literal slots.
@@ -520,8 +585,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Live entries across all tiers.
     pub entries: usize,
-    /// Live pruning active sets (side table, current epoch only; see
-    /// [`active_set_for`]). Not counted in `entries`/`hits`/`misses` — an
+    /// Live pruning active sets (side table, dropped with the plan entries
+    /// at every epoch change; see [`active_set_for`]). Not counted in `entries`/`hits`/`misses` — an
     /// active-set rebuild is one arena walk, not a cold plan.
     pub active_sets: usize,
     /// Cardinality estimates issued by the join-order enumerator
@@ -551,18 +616,33 @@ struct CacheInner {
     hits: u64,
     misses: u64,
     evictions: u64,
-    capacity: usize,
-    /// Pruning active sets, keyed on `(member, constrained-column union)`
-    /// and stamped with the plan epoch they were built under. A dedicated
-    /// side table rather than `map` entries: an active set costs one
-    /// O(nodes) arena walk to rebuild, so it must never evict a
+    /// Pruning active sets, keyed on `(member, constrained-column union)`.
+    /// A dedicated side table rather than `map` entries: an active set costs
+    /// one O(nodes) arena walk to rebuild, so it must never evict a
     /// bind-discovered plan artifact (built twice + diffed) under LRU
     /// pressure, and its lookups are bookkeeping, not plan hits/misses.
-    /// Epoch invalidation is eager — the first access at a new epoch clears
-    /// the whole table, so stale sets never survive a maintenance op.
     actives: HashMap<(usize, Vec<usize>), Arc<ActiveSet>>,
-    actives_epoch: u64,
+    /// The plan epoch everything in `map` and `actives` was built under —
+    /// the cache's one invalidation stamp (see [`CacheInner::at_epoch`]).
+    epoch: u64,
     optimizer_estimates: u64,
+}
+
+impl CacheInner {
+    /// Bring the cache to the caller's `epoch` and report whether the caller
+    /// is current. A newer epoch drops plans and active sets together, so
+    /// nothing built for a retired model generation is reused or holds
+    /// capacity (invalidation, not LRU pressure: `evictions` does not
+    /// move). The stamp is monotonic: a late reader of an older epoch
+    /// (`false`) can neither clear what current readers built nor insert.
+    fn at_epoch(&mut self, epoch: u64) -> bool {
+        if epoch > self.epoch {
+            self.map.clear();
+            self.actives.clear();
+            self.epoch = epoch;
+        }
+        epoch == self.epoch
+    }
 }
 
 /// LRU plan cache keyed on [`QueryShape`]. Counter-based recency (a lookup
@@ -571,6 +651,9 @@ struct CacheInner {
 /// measured honestly.
 pub(crate) struct PlanCache {
     inner: Mutex<CacheInner>,
+    /// Outside the lock: every query entry point asks [`PlanCache::enabled`]
+    /// first.
+    capacity: AtomicUsize,
 }
 
 impl PlanCache {
@@ -582,23 +665,36 @@ impl PlanCache {
                 hits: 0,
                 misses: 0,
                 evictions: 0,
-                capacity,
                 actives: HashMap::new(),
-                actives_epoch: 0,
+                epoch: 0,
                 optimizer_estimates: 0,
             }),
+            capacity: AtomicUsize::new(capacity),
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.inner.lock().expect("plan cache poisoned").capacity > 0
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("plan cache poisoned")
     }
 
-    fn lookup(&self, shape: &QueryShape) -> Option<CachedValue> {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
+    fn capacity(&self) -> usize {
+        // Publishes nothing: a racing resize is observed a lookup late.
+        self.capacity.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn enabled(&self) -> bool {
+        self.capacity() > 0
+    }
+
+    fn lookup(&self, epoch: u64, shape: &QueryShape) -> Option<CachedValue> {
+        if !self.enabled() {
+            return None;
+        }
+        let mut g = self.lock();
+        let current = g.at_epoch(epoch);
         g.tick += 1;
         let tick = g.tick;
-        match g.map.get_mut(shape) {
+        match g.map.get_mut(shape).filter(|_| current) {
             Some(e) => {
                 e.last_used = tick;
                 let v = e.value.clone();
@@ -612,14 +708,15 @@ impl PlanCache {
         }
     }
 
-    fn insert(&self, shape: QueryShape, value: CachedValue) {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
-        if g.capacity == 0 {
+    fn insert(&self, epoch: u64, shape: QueryShape, value: CachedValue) {
+        let capacity = self.capacity();
+        let mut g = self.lock();
+        if capacity == 0 || !g.at_epoch(epoch) {
             return;
         }
         g.tick += 1;
         let tick = g.tick;
-        if g.map.len() >= g.capacity && !g.map.contains_key(&shape) {
+        if g.map.len() >= capacity && !g.map.contains_key(&shape) {
             if let Some(victim) = g
                 .map
                 .iter()
@@ -639,42 +736,32 @@ impl PlanCache {
         );
     }
 
-    /// Cached pruning set for `(member, columns)` at `epoch`. The first
-    /// access at a new epoch clears the table — every maintenance op bumps
-    /// the epoch, so a recompiled arena can never be swept with a stale set.
+    /// Cached pruning set for `(member, columns)` at `epoch`.
     fn active_lookup(
         &self,
         epoch: u64,
         member: usize,
         columns: &[usize],
     ) -> Option<Arc<ActiveSet>> {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
-        if g.actives_epoch != epoch {
-            g.actives.clear();
-            g.actives_epoch = epoch;
+        let mut g = self.lock();
+        if !g.at_epoch(epoch) {
             return None;
         }
         g.actives.get(&(member, columns.to_vec())).cloned()
     }
 
     fn active_insert(&self, epoch: u64, member: usize, columns: Vec<usize>, a: Arc<ActiveSet>) {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
-        if g.capacity == 0 {
-            return;
-        }
-        if g.actives_epoch != epoch {
-            g.actives.clear();
-            g.actives_epoch = epoch;
-        }
+        let capacity = self.capacity();
+        let mut g = self.lock();
         // Bounded by the artifact capacity; past it, callers just rebuild
         // (one arena walk) instead of caching — never evict.
-        if g.actives.len() < g.capacity {
+        if g.at_epoch(epoch) && g.actives.len() < capacity {
             g.actives.insert((member, columns), a);
         }
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
-        let g = self.inner.lock().expect("plan cache poisoned");
+        let g = self.lock();
         CacheStats {
             hits: g.hits,
             misses: g.misses,
@@ -688,84 +775,199 @@ impl PlanCache {
     /// Record `n` enumerator-issued cardinality estimates (see
     /// [`CacheStats::optimizer_estimates`]).
     pub(crate) fn note_optimizer_estimates(&self, n: u64) {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
-        g.optimizer_estimates += n;
+        self.lock().optimizer_estimates += n;
     }
 
     /// Resize (0 disables). Clears all entries and counters so bench lanes
     /// and tests start from a known-cold state.
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        let mut g = self.inner.lock().expect("plan cache poisoned");
+        let mut g = self.lock();
         g.map.clear();
         g.tick = 0;
         g.hits = 0;
         g.misses = 0;
         g.evictions = 0;
-        g.capacity = capacity;
         g.actives.clear();
-        g.actives_epoch = 0;
         g.optimizer_estimates = 0;
+        self.capacity.store(capacity, Ordering::Relaxed);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cached entry-point routing
+// Checkouts: the one execute path
 // ---------------------------------------------------------------------------
 
-pub(crate) enum Obtained {
-    Owned(Box<Resolver>),
-    Shared(Arc<PlanArtifact>),
+/// An executable plan for one query, held for as long as the holder wants to
+/// execute it: lookup-or-build of the shape's entry, pop-or-clone of a
+/// working set, literals rebound in place. [`Checkout::run`] then
+/// [`Checkout::resolve`] is the whole execute path; dropping the checkout
+/// returns the working set to its entry's idle pool.
+pub(crate) struct Checkout {
+    /// Plan epoch the plan was looked up or built under; a holder compares
+    /// it with [`Ensemble::plan_epoch`] to detect maintenance landing
+    /// mid-flight.
+    pub(crate) epoch: u64,
+    /// `Some` until drop moves it back into the entry's pool.
+    work: Option<WorkingSet>,
+    source: PlanSource,
+    /// Whether drop checks the working set in. Not after a miss: most shapes
+    /// of an ad-hoc stream never come back, and a working set per dead entry
+    /// is memory and eviction work for nothing (≈ 3 MB and 2 µs per op on
+    /// the benchmark's `card_adhoc`) — the first hit clones the one worth
+    /// keeping.
+    pooled: bool,
 }
 
-impl Obtained {
-    pub(crate) fn resolver(&self) -> &Resolver {
-        match self {
-            Obtained::Owned(r) => r,
-            Obtained::Shared(a) => &a.resolver,
+enum PlanSource {
+    /// A working set of this cache entry (or of a private artifact, for a
+    /// query prepared with the cache off): new literals are a rebind.
+    Bound(Arc<PlanArtifact>),
+    /// A plan built for exactly these literals — the shape's translation is
+    /// value-dependent, or the cache is off: new literals are a new plan.
+    Cold(Box<Resolver>),
+}
+
+impl Checkout {
+    /// Check out a plan for `(query, kind, disjuncts)`, bound to the query's
+    /// literals. With the cache disabled this is exactly the cold path — no
+    /// lookup, no discovery, full sweeps. The caller has validated the
+    /// query.
+    pub(crate) fn new(
+        ens: &Ensemble,
+        db: &Database,
+        query: &Query,
+        kind: ArtifactKind,
+        disjuncts: &[Vec<Predicate>],
+    ) -> Result<Self, DeepDbError> {
+        if ens.plan_cache().enabled() {
+            Self::lookup_or_build(ens, db, query, kind, disjuncts)
+        } else {
+            let epoch = ens.plan_epoch();
+            let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
+            Ok(Self::cold(ens, epoch, plan, resolver))
         }
+    }
+
+    /// The bound path: a hit pops a working set and rebinds; a miss first
+    /// builds the artifact, discovers its binds (see the module docs) and
+    /// inserts it (a disabled cache finds and keeps nothing). An unbindable
+    /// shape keeps the plan the miss already built, as a cold checkout.
+    fn lookup_or_build(
+        ens: &Ensemble,
+        db: &Database,
+        query: &Query,
+        kind: ArtifactKind,
+        disjuncts: &[Vec<Predicate>],
+    ) -> Result<Self, DeepDbError> {
+        let cache = ens.plan_cache();
+        let epoch = ens.plan_epoch();
+        let literals = collect_all_literals(query, disjuncts);
+        let shape = artifact_shape(query, kind, disjuncts);
+        let (artifact, hit) = match cache.lookup(epoch, &shape) {
+            Some(CachedValue::Plan(a)) if a.n_literals == literals.len() => (a, true),
+            _ => {
+                let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
+                let Some(binds) = discover_binds(ens, db, query, kind, disjuncts, &plan, &literals)
+                else {
+                    return Ok(Self::cold(ens, epoch, plan, resolver));
+                };
+                let a = Arc::new(PlanArtifact {
+                    actives: plan.active_sets(ens),
+                    plan,
+                    resolver,
+                    binds,
+                    n_literals: literals.len(),
+                    idle: Mutex::new(Vec::new()),
+                });
+                cache.insert(epoch, shape, CachedValue::Plan(Arc::clone(&a)));
+                (a, false)
+            }
+        };
+        let mut checkout = Checkout {
+            epoch,
+            work: Some(artifact.working_set()),
+            source: PlanSource::Bound(artifact),
+            pooled: hit,
+        };
+        checkout.rebind(&literals);
+        Ok(checkout)
+    }
+
+    fn cold(ens: &Ensemble, epoch: u64, plan: ProbePlan, resolver: Resolver) -> Self {
+        let scratch = plan.fresh_scratch(ens);
+        Checkout {
+            epoch,
+            work: Some(WorkingSet { plan, scratch }),
+            source: PlanSource::Cold(Box::new(resolver)),
+            pooled: false,
+        }
+    }
+
+    fn work(&self) -> &WorkingSet {
+        self.work.as_ref().expect("working set present until drop")
+    }
+
+    fn work_mut(&mut self) -> &mut WorkingSet {
+        self.work.as_mut().expect("working set present until drop")
+    }
+
+    /// Rewrite the bound literal slots in place (allocation-free). `false`
+    /// for a cold checkout, whose plan the holder must rebuild instead.
+    fn rebind(&mut self, literals: &[f64]) -> bool {
+        let PlanSource::Bound(artifact) = &self.source else {
+            return false;
+        };
+        let work = self.work.as_mut().expect("working set present until drop");
+        work.plan.rebind_literals(&artifact.binds, literals);
+        true
+    }
+
+    /// The bound plan (a serving batch absorbs its probes).
+    pub(crate) fn plan(&self) -> &ProbePlan {
+        &self.work().plan
+    }
+
+    /// Where a fused serving sweep demuxes this request's slice, in place of
+    /// a solo [`Checkout::run`].
+    pub(crate) fn results_mut(&mut self) -> &mut ProbeResults {
+        &mut self.work_mut().scratch.results
+    }
+
+    /// Sweep the plan into the working set ([`ProbePlan::run`]).
+    pub(crate) fn run(
+        &mut self,
+        ens: &Ensemble,
+        threads: usize,
+        cancel: Option<&CancelFlag>,
+        fault: Option<&TileFaultFn<'_>>,
+    ) {
+        let WorkingSet { plan, scratch } = self.work_mut();
+        plan.run(ens, scratch, threads, cancel, fault);
+    }
+
+    /// Resolve the last run (or demux) to the entry point's estimate, plus
+    /// the COUNT estimate for [`ArtifactKind::AqpScalar`].
+    pub(crate) fn resolve(&self) -> Result<(Estimate, Option<Estimate>), DeepDbError> {
+        let resolver = match &self.source {
+            PlanSource::Bound(artifact) => &artifact.resolver,
+            PlanSource::Cold(resolver) => resolver,
+        };
+        resolver.resolve(&self.work().scratch.results)
     }
 }
 
-/// Get an executable plan for `(query, kind, disjuncts)`: a rebound clone of
-/// a cached artifact on a hit; a cold build (inserted when bind discovery
-/// succeeds) otherwise. With the cache disabled this is exactly the old cold
-/// path — no lookup, no discovery. Also the per-request planning step of the
-/// serving front-end ([`crate::serve`]), whose batches absorb the returned
-/// plan and resolve through the returned [`Obtained`].
-pub(crate) fn obtain(
-    ens: &Ensemble,
-    db: &Database,
-    query: &Query,
-    kind: ArtifactKind,
-    disjuncts: &[Vec<Predicate>],
-) -> Result<(ProbePlan, Obtained), DeepDbError> {
-    let cache = ens.plan_cache();
-    if !cache.enabled() {
-        let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
-        return Ok((plan, Obtained::Owned(Box::new(resolver))));
-    }
-    let shape = artifact_shape(ens.plan_epoch(), query, kind, disjuncts);
-    let literals = collect_all_literals(query, disjuncts);
-    if let Some(CachedValue::Plan(art)) = cache.lookup(&shape) {
-        if art.n_literals == literals.len() {
-            let mut plan = art.plan.clone();
-            plan.rebind_literals(&art.binds, &literals);
-            return Ok((plan, Obtained::Shared(art)));
+impl Drop for Checkout {
+    /// Check-in. Runs on every way out, unwinding included (a serving sweep
+    /// may panic under its checkout): a working set is valid in any state —
+    /// the next holder rebinds every bound slot, and a run rebuilds the
+    /// tables and overwrites every result — so a pooled one always goes
+    /// back.
+    fn drop(&mut self) {
+        if let (true, PlanSource::Bound(artifact), Some(work)) =
+            (self.pooled, &self.source, self.work.take())
+        {
+            artifact.lock_idle().push(work);
         }
-    }
-    let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
-    match discover_binds(ens, db, query, kind, disjuncts, &plan, &literals) {
-        Some(binds) => {
-            let art = Arc::new(PlanArtifact {
-                plan: plan.clone(),
-                resolver,
-                binds,
-                n_literals: literals.len(),
-            });
-            cache.insert(shape, CachedValue::Plan(Arc::clone(&art)));
-            Ok((plan, Obtained::Shared(art)))
-        }
-        None => Ok((plan, Obtained::Owned(Box::new(resolver)))),
     }
 }
 
@@ -778,9 +980,9 @@ pub(crate) fn scalar_estimate(
     kind: ArtifactKind,
     disjuncts: &[Vec<Predicate>],
 ) -> Result<Estimate, DeepDbError> {
-    let (plan, obtained) = obtain(ens, db, query, kind, disjuncts)?;
-    let results = plan.execute(ens);
-    obtained.resolver().resolve_single(&results)
+    let mut checkout = Checkout::new(ens, db, query, kind, disjuncts)?;
+    checkout.run(ens, 0, None, None);
+    Ok(checkout.resolve()?.0)
 }
 
 /// Cache-routed `(aggregate, count)` pair for `execute_aqp`'s scalar path.
@@ -789,9 +991,10 @@ pub(crate) fn aqp_scalar(
     db: &Database,
     query: &Query,
 ) -> Result<(Estimate, Estimate), DeepDbError> {
-    let (plan, obtained) = obtain(ens, db, query, ArtifactKind::AqpScalar, &[])?;
-    let results = plan.execute(ens);
-    obtained.resolver().resolve_pair(&results)
+    let mut checkout = Checkout::new(ens, db, query, ArtifactKind::AqpScalar, &[])?;
+    checkout.run(ens, 0, None, None);
+    let (agg, count) = checkout.resolve()?;
+    Ok((agg, count.expect("AQP scalar artifacts resolve a count")))
 }
 
 /// Cache-routed [`ScalarTemplate`] for GROUP BY enumeration and the
@@ -810,9 +1013,9 @@ pub(crate) fn grouped_template(
             ens, db, shared_q, group_cols,
         )?));
     }
+    let epoch = ens.plan_epoch();
     let shape = QueryShape {
         tag: 5,
-        epoch: ens.plan_epoch(),
         tables: shared_q.tables.clone(),
         agg: agg_code(ArtifactKind::AqpScalar, shared_q),
         group_cols: group_cols.iter().map(|c| (c.table, c.column)).collect(),
@@ -823,11 +1026,11 @@ pub(crate) fn grouped_template(
             .map(|v| v.to_bits())
             .collect(),
     };
-    if let Some(CachedValue::Template(t)) = cache.lookup(&shape) {
+    if let Some(CachedValue::Template(t)) = cache.lookup(epoch, &shape) {
         return Ok(t);
     }
     let t = Arc::new(ScalarTemplate::prepare(ens, db, shared_q, group_cols)?);
-    cache.insert(shape, CachedValue::Template(Arc::clone(&t)));
+    cache.insert(epoch, shape, CachedValue::Template(Arc::clone(&t)));
     Ok(t)
 }
 
@@ -844,9 +1047,9 @@ pub(crate) fn covering_member(
     if !cache.enabled() {
         return best_covering_rspn(ens, qtables, selector_preds);
     }
+    let epoch = ens.plan_epoch();
     let shape = QueryShape {
         tag: 6,
-        epoch: ens.plan_epoch(),
         tables: qtables.iter().copied().collect(),
         agg: (0, 0, 0),
         group_cols: Vec::new(),
@@ -854,11 +1057,11 @@ pub(crate) fn covering_member(
         disjuncts: Vec::new(),
         literal_bits: Vec::new(),
     };
-    if let Some(CachedValue::Member(i)) = cache.lookup(&shape) {
+    if let Some(CachedValue::Member(i)) = cache.lookup(epoch, &shape) {
         return Some(i);
     }
     let idx = best_covering_rspn(ens, qtables, selector_preds)?;
-    cache.insert(shape, CachedValue::Member(idx));
+    cache.insert(epoch, shape, CachedValue::Member(idx));
     Some(idx)
 }
 
@@ -866,12 +1069,12 @@ pub(crate) fn covering_member(
 /// constrained-column union. Building an active set is one O(nodes) arena
 /// walk; production traffic repeats column *shapes*, so the walk is done
 /// once per `(member, columns)` shape per plan epoch and shared via `Arc`.
-/// Sets live in an epoch-stamped side table of the [`PlanCache`] (so they
-/// never evict plan artifacts and their lookups don't skew plan hit/miss
-/// stats): any maintenance operation (recompile, insert, delete, join-count
-/// refresh) bumps the epoch, and the first access at a new epoch drops every
-/// cached set — which matters because recompiles may change the arena's node
-/// count and layout.
+/// Sets live in a side table of the [`PlanCache`] (so they never evict plan
+/// artifacts and their lookups don't skew plan hit/miss stats) under the
+/// cache's one epoch stamp: any maintenance operation (recompile, insert,
+/// delete, join-count refresh) bumps the epoch, and the first access at a
+/// new epoch drops every cached set along with the plans — which matters
+/// because recompiles may change the arena's node count and layout.
 ///
 /// **Bitwise contract**: a sweep pruned by the returned set is bitwise
 /// identical to the full sweep for every probe whose constrained and target
@@ -911,9 +1114,9 @@ pub(crate) fn ml_prelude(
     regression: bool,
 ) -> Result<Arc<MlPrelude>, DeepDbError> {
     let cache = ens.plan_cache();
+    let epoch = ens.plan_epoch();
     let shape = QueryShape {
         tag: if regression { 7 } else { 8 },
-        epoch: ens.plan_epoch(),
         tables: vec![table],
         agg: (0, 0, 0),
         group_cols: vec![(table, target)],
@@ -922,7 +1125,7 @@ pub(crate) fn ml_prelude(
         literal_bits: Vec::new(),
     };
     if cache.enabled() {
-        if let Some(CachedValue::Ml(p)) = cache.lookup(&shape) {
+        if let Some(CachedValue::Ml(p)) = cache.lookup(epoch, &shape) {
             return Ok(p);
         }
     }
@@ -942,7 +1145,7 @@ pub(crate) fn ml_prelude(
         factors,
     });
     if cache.enabled() {
-        cache.insert(shape, CachedValue::Ml(Arc::clone(&prelude)));
+        cache.insert(epoch, shape, CachedValue::Ml(Arc::clone(&prelude)));
     }
     Ok(prelude)
 }
@@ -953,39 +1156,21 @@ pub(crate) fn ml_prelude(
 
 /// A query prepared once, executable many times with different literals.
 ///
-/// Created by [`Ensemble::prepare`]. The bound form holds a working
-/// [`ProbePlan`] clone, pre-sized results, and a reusable inline sweep:
-/// [`PreparedQuery::execute`] rewrites the bound literal slots in place,
-/// runs one fused inline sweep per touched member, and resolves — **zero
-/// planning work and zero allocations** in steady state. Shapes whose binds
-/// could not be discovered (value-dependent translation, e.g. functional
-/// dependency rewrites) fall back to cold planning per execution.
+/// Created by [`Ensemble::prepare`]: a [`Checkout`] the caller keeps. In the
+/// bound form [`PreparedQuery::execute`] rewrites the bound literal slots of
+/// its working set in place, runs one fused inline sweep per touched
+/// member, and resolves — **zero planning work and zero allocations** in
+/// steady state. Shapes whose binds could not be discovered
+/// (value-dependent translation, e.g. functional dependency rewrites) plan
+/// cold per execution.
 pub struct PreparedQuery {
     epoch: u64,
     n_literals: usize,
     /// The original query, kept pristine so the serving layer can
-    /// re-prepare after a [`DeepDbError::StalePlan`].
+    /// re-prepare after a [`DeepDbError::StalePlan`] (and an unbound query
+    /// has something to re-plan from).
     source: Query,
-    inner: PreparedInner,
-}
-
-enum PreparedInner {
-    Bound {
-        artifact: Arc<PlanArtifact>,
-        plan: ProbePlan,
-        results: ProbeResults,
-        /// One sweep (with its grow-only leaf-value tables) per plan member,
-        /// so alternating members never reshapes shared scratch.
-        sweeps: Vec<InlineSweep>,
-        /// One pruning active set per plan member, pinned at prepare time
-        /// (column shapes never change across rebinds), so steady-state
-        /// executions prune with zero discovery work.
-        actives: Vec<Arc<ActiveSet>>,
-    },
-    Fallback {
-        query: Query,
-        kind: ArtifactKind,
-    },
+    checkout: Checkout,
 }
 
 /// Prepare `query` against the ensemble: plan, translate, and discover
@@ -1001,74 +1186,14 @@ pub(crate) fn prepare(
             "prepare supports scalar aggregates; GROUP BY queries go through execute_aqp".into(),
         ));
     }
-    let kind = match query.aggregate {
-        Aggregate::CountStar => ArtifactKind::Count,
-        Aggregate::Avg(t) => ArtifactKind::Avg(t),
-        Aggregate::Sum(t) => ArtifactKind::Sum(t),
-    };
-    let epoch = ens.plan_epoch();
-    let literals = collect_all_literals(query, &[]);
-    let cache = ens.plan_cache();
-
-    let cached = if cache.enabled() {
-        let shape = artifact_shape(epoch, query, kind, &[]);
-        match cache.lookup(&shape) {
-            Some(CachedValue::Plan(a)) if a.n_literals == literals.len() => Some(a),
-            _ => {
-                let (plan, resolver) = build_artifact(ens, db, query, kind, &[], true)?;
-                discover_binds(ens, db, query, kind, &[], &plan, &literals).map(|binds| {
-                    let a = Arc::new(PlanArtifact {
-                        plan,
-                        resolver,
-                        binds,
-                        n_literals: literals.len(),
-                    });
-                    cache.insert(shape, CachedValue::Plan(Arc::clone(&a)));
-                    a
-                })
-            }
-        }
-    } else {
-        // Cache disabled: the prepared query still owns a private artifact.
-        let (plan, resolver) = build_artifact(ens, db, query, kind, &[], true)?;
-        discover_binds(ens, db, query, kind, &[], &plan, &literals).map(|binds| {
-            Arc::new(PlanArtifact {
-                plan,
-                resolver,
-                binds,
-                n_literals: literals.len(),
-            })
-        })
-    };
-
-    let inner = match cached {
-        Some(artifact) => {
-            let mut plan = artifact.plan.clone();
-            plan.rebind_literals(&artifact.binds, &literals);
-            let results = plan.blank_results();
-            let actives = plan
-                .member_columns()
-                .iter()
-                .map(|(member, cols)| active_set_for(ens, *member, cols))
-                .collect();
-            PreparedInner::Bound {
-                artifact,
-                plan,
-                results,
-                sweeps: Vec::new(),
-                actives,
-            }
-        }
-        None => PreparedInner::Fallback {
-            query: query.clone(),
-            kind,
-        },
-    };
+    // Not `Checkout::new`: with the cache disabled a prepared query still
+    // discovers binds and owns a private artifact.
+    let checkout = Checkout::lookup_or_build(ens, db, query, ArtifactKind::of(query), &[])?;
     Ok(PreparedQuery {
-        epoch,
-        n_literals: literals.len(),
+        epoch: checkout.epoch,
+        n_literals: query_literals(query).len(),
         source: query.clone(),
-        inner,
+        checkout,
     })
 }
 
@@ -1092,25 +1217,15 @@ impl PreparedQuery {
                 literals.len()
             )));
         }
-        match &mut self.inner {
-            PreparedInner::Bound {
-                artifact,
-                plan,
-                results,
-                sweeps,
-                actives,
-            } => {
-                plan.rebind_literals(&artifact.binds, literals);
-                plan.execute_into(ens, sweeps, actives, results);
-                artifact.resolver.resolve_single(results)
-            }
-            PreparedInner::Fallback { query, kind } => {
-                rebind_query_literals(query, literals);
-                let (plan, resolver) = build_artifact(ens, db, query, *kind, &[], false)?;
-                let results = plan.execute(ens);
-                resolver.resolve_single(&results)
-            }
+        if !self.checkout.rebind(literals) {
+            let mut query = self.source.clone();
+            rebind_query_literals(&mut query, literals);
+            let kind = ArtifactKind::of(&query);
+            let (plan, resolver) = build_artifact(ens, db, &query, kind, &[], true)?;
+            self.checkout = Checkout::cold(ens, self.epoch, plan, resolver);
         }
+        self.checkout.run(ens, 0, None, None);
+        Ok(self.checkout.resolve()?.0)
     }
 
     /// Number of literal slots [`PreparedQuery::execute`] expects.
@@ -1122,7 +1237,7 @@ impl PreparedQuery {
     /// frozen artifact (zero planning work); `false` means the shape is
     /// value-dependent and each execution plans cold.
     pub fn is_bound(&self) -> bool {
-        matches!(self.inner, PreparedInner::Bound { .. })
+        matches!(self.checkout.source, PlanSource::Bound(_))
     }
 
     /// Plan epoch this query was prepared under.
@@ -1135,5 +1250,94 @@ impl PreparedQuery {
     /// after a [`DeepDbError::StalePlan`].
     pub fn source(&self) -> &Query {
         &self.source
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ensemble::{EnsembleBuilder, EnsembleParams};
+    use deepdb_spn::TileFault;
+    use deepdb_storage::fixtures::correlated_customer_order;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn memo_shape(tag: u8) -> QueryShape {
+        QueryShape {
+            tag,
+            tables: vec![0],
+            agg: (0, 0, 0),
+            group_cols: Vec::new(),
+            preds: Vec::new(),
+            disjuncts: Vec::new(),
+            literal_bits: Vec::new(),
+        }
+    }
+
+    /// The one epoch stamp only moves forward: a newer epoch drops
+    /// everything (without counting evictions); a late reader of an older
+    /// epoch finds nothing, inserts nothing and clears nothing.
+    #[test]
+    fn epoch_stamp_is_monotonic() {
+        let cache = PlanCache::new(4);
+        cache.insert(2, memo_shape(6), CachedValue::Member(0));
+        assert!(cache.lookup(2, &memo_shape(6)).is_some());
+
+        assert!(cache.lookup(1, &memo_shape(6)).is_none());
+        cache.insert(1, memo_shape(7), CachedValue::Member(1));
+        let cols = vec![vec![0.0, 1.0, 1.0]];
+        let meta = vec![deepdb_spn::ColumnMeta::discrete("a")];
+        let spn = deepdb_spn::Spn::learn(
+            deepdb_spn::DataView::new(&cols, &meta),
+            &deepdb_spn::SpnParams::default(),
+        );
+        cache.active_insert(1, 0, vec![0], Arc::new(spn.compile().active_set(&[0])));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.active_sets), (1, 0));
+        assert!(cache.lookup(2, &memo_shape(6)).is_some());
+
+        assert!(cache.lookup(3, &memo_shape(6)).is_none());
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (0, 0));
+    }
+
+    /// A sweep that panics under a checkout (the chaos suite's `TileStart`
+    /// faults do this on the serve path) drops it mid-unwind: the working
+    /// set goes back, the entry's pool is not poisoned, and the next
+    /// checkout of the shape reuses the entry and answers bitwise-correctly.
+    #[test]
+    fn checkout_dropped_while_unwinding_leaves_its_entry_usable() {
+        let db = correlated_customer_order(300, 5);
+        let params = EnsembleParams {
+            sample_size: 3_000,
+            correlation_sample: 300,
+            ..EnsembleParams::default()
+        };
+        let ens = EnsembleBuilder::new(&db).params(params).build().unwrap();
+        let query =
+            |age| Query::count(vec![0]).filter(0, 1, PredOp::Cmp(CmpOp::Le, Value::Int(age)));
+        let estimate = |q: &Query| scalar_estimate(&ens, &db, q, ArtifactKind::Count, &[]).unwrap();
+
+        ens.set_plan_cache_capacity(0);
+        let want = estimate(&query(40));
+        ens.set_plan_cache_capacity(8);
+        estimate(&query(40));
+
+        let fault = || Some(TileFault::Panic);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut checkout =
+                Checkout::new(&ens, &db, &query(63), ArtifactKind::Count, &[]).unwrap();
+            checkout.run(&ens, 1, None, Some(&fault));
+        }));
+        assert!(unwound.is_err(), "the injected tile panic must surface");
+
+        let got = estimate(&query(40));
+        assert_eq!(got.value.to_bits(), want.value.to_bits());
+        assert_eq!(got.variance.to_bits(), want.variance.to_bits());
+        let s = ens.plan_cache_stats();
+        assert_eq!(
+            (s.misses, s.hits, s.entries),
+            (1, 2, 1),
+            "the entry survived: built once, hit by the panicking and the next checkout"
+        );
     }
 }

@@ -481,15 +481,6 @@ impl Ensemble {
         &self.pool
     }
 
-    /// Execute a [`crate::ProbePlan`]: one fused arena sweep per touched
-    /// member with tiles spread over the probe-thread budget. Pure `&self`
-    /// — updates keep the engines patched in place, and structural
-    /// recompilation is the caller's explicit
-    /// [`Ensemble::recompile_models`] maintenance call.
-    pub fn execute_plan(&self, plan: &crate::ProbePlan) -> crate::ProbeResults {
-        plan.execute(self)
-    }
-
     /// Current plan-cache invalidation epoch. Bumped by
     /// [`Ensemble::recompile_models`] and every update/maintenance call;
     /// cache keys and [`crate::PreparedQuery`] handles embed it.

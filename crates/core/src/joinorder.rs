@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use deepdb_storage::optimizer::{CardinalityModel, JoinOrder, JoinOrderSpace};
 use deepdb_storage::{Database, PredOp, Query, TableId, Value};
 
-use crate::cache::PreparedQuery;
+use crate::cache::{for_each_literal, PreparedQuery};
 use crate::ensemble::Ensemble;
 use crate::DeepDbError;
 
@@ -98,26 +98,11 @@ fn subset_key(query: &Query, tables: &[TableId]) -> Option<SubKey> {
     })
 }
 
-/// Append the subset's literals (canonical [`crate::query_literals`] order,
-/// restricted to predicates on `tables`) to `out`. The subset query's bind
-/// vector is exactly this restriction because literal order is predicate
-/// order.
+/// The subset query's bind vector: the query's literals restricted to
+/// predicates on `tables`, in the canonical [`crate::query_literals`] order.
 fn subset_literals(query: &Query, tables: &[TableId], out: &mut Vec<f64>) {
     out.clear();
-    for p in &query.predicates {
-        if !tables.contains(&p.table) {
-            continue;
-        }
-        match &p.op {
-            PredOp::Cmp(_, v) => out.extend(v.as_f64()),
-            PredOp::Between(lo, hi) => {
-                out.extend(lo.as_f64());
-                out.extend(hi.as_f64());
-            }
-            PredOp::In(vs) => out.extend(vs.iter().filter_map(Value::as_f64)),
-            PredOp::IsNull | PredOp::IsNotNull => {}
-        }
-    }
+    for_each_literal(&query.predicates, Some(tables), |v| out.push(v));
 }
 
 // `Ready` dominates the map and is dereferenced on every estimate; boxing it

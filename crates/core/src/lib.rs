@@ -28,8 +28,13 @@
 //!   (expectations **and** max-product MPE probes) against ensemble members
 //!   and resolve typed handles after a single `execute()`, which sweeps each
 //!   touched member's compiled arena exactly once — both probe kinds ride
-//!   the same sweep — with members/tiles evaluated concurrently on scoped
-//!   threads.
+//!   the same sweep — inline for a plan of one tile's worth of probes, with
+//!   the tiles of all members spread over the ensemble's persistent worker
+//!   pool otherwise.
+//! * [`cache`] — the plan cache and the one execute path: every scalar
+//!   query — one-shot, [`PreparedQuery`], served — checks a rebindable plan
+//!   and its scratch out of the shape's cache entry, runs it through the one
+//!   plan runner, resolves, and checks it back in.
 //! * [`Estimate`] — point estimates with variances propagated per §5.1,
 //!   yielding confidence intervals.
 //! * ML tasks (regression via conditional expectation, classification via

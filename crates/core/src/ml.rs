@@ -124,7 +124,7 @@ pub fn predict_classification(
 /// probe plus one evidence-support probe on a single plan, and a shared
 /// unconditional-MPE fallback covers rows whose evidence has no support —
 /// the whole batch runs in **one fused arena sweep** on the chosen member
-/// (both probe kinds ride the same [`deepdb_spn::sweep_models`] pass).
+/// (both probe kinds ride the same [`deepdb_spn::WorkerPool::sweep`] pass).
 pub fn predict_classification_batch<R: AsRef<[(ColId, Value)]>>(
     ens: &Ensemble,
     db: &Database,

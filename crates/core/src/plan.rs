@@ -15,16 +15,22 @@
 //!    handles (plain indices; no borrow of the ensemble is kept);
 //! 2. **fuse** — the plan groups probes by member, preserving registration
 //!    order within each member and probe kind;
-//! 3. **sweep** — [`ProbePlan::execute`] runs **one fused sweep per touched
-//!    member** covering both probe kinds, with the tiles of all members
-//!    load-balanced across the ensemble's **persistent worker pool**
-//!    ([`deepdb_spn::WorkerPool`], owned by
-//!    [`Ensemble`](crate::Ensemble)): workers keep pinned evaluator
-//!    scratch, claim tiles off an atomic cursor, and park between plans, so
-//!    repeated plan executions pay no spawn cost; members and tiles
-//!    evaluate concurrently, results are bitwise identical for any thread
-//!    count;
-//! 4. **resolve** — handles index into the returned [`ProbeResults`]
+//! 3. **sweep** — one private runner ([`ProbePlan::run`]) executes every
+//!    plan, whoever holds it: **one fused sweep per touched member**
+//!    covering both probe kinds, through the single sweep routine of
+//!    `deepdb_spn` ([`deepdb_spn::WorkerPool::sweep`], on the pool owned by
+//!    [`Ensemble`](crate::Ensemble)). The runner writes into a
+//!    caller-provided [`PlanScratch`] (pre-sized results, pinned pruning
+//!    sets) and builds leaf values into the calling thread's per-member
+//!    tables, so a holder that keeps its scratch (a plan-cache checkout, see
+//!    [`crate::cache`]) executes without allocating. A plan of at most one
+//!    tile's worth of probes, or a thread budget of one, runs inline on the
+//!    calling thread; larger plans spread their tiles over the persistent
+//!    worker pool. Results are bitwise identical for any thread count.
+//!    [`ProbePlan::execute`] / [`ProbePlan::execute_with_threads`] are thin
+//!    wrappers that bring fresh scratch for ad-hoc plans (GROUP BY fans,
+//!    count-values batches, ML batches);
+//! 4. **resolve** — handles index into the [`ProbeResults`]
 //!    ([`ProbeResults::value`] for expectations, [`ProbeResults::mpe_value`]
 //!    / [`ProbeResults::mpe_outcome`] for MPE probes).
 //!
@@ -33,11 +39,13 @@
 //! multi-member / multi-group / batched-prediction workloads, which now
 //! scale across cores.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deepdb_spn::{
-    ActiveSet, CancelFlag, MpeOutcome, MpeProbe, SpnQuery, SweepJob, TileFaultFn, SWEEP_TILE,
+    ActiveSet, CancelFlag, MpeOutcome, MpeProbe, SpnQuery, SweepJob, SweepTables, TileFaultFn,
+    SWEEP_TILE,
 };
 
 use crate::ensemble::Ensemble;
@@ -45,6 +53,17 @@ use crate::ensemble::Ensemble;
 /// Process-unique plan ids so a handle can never silently read another
 /// plan's results.
 static PLAN_IDS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The leaf-value tables this thread keeps for small plans, one pair per
+    /// ensemble member id it has swept. Per thread and not per plan or cache
+    /// entry: a grown table is tens of KB on real models, it is rebuilt from
+    /// scratch by every sweep anyway, and a per-member home keeps its column
+    /// layout stable — so cold plans and cache misses stop allocating
+    /// tables, hits and prepared executions reuse them without allocating,
+    /// and a plan-cache entry pins none of them.
+    static LEAF_TABLES: RefCell<Vec<(usize, SweepTables)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Ticket for one registered expectation probe; redeem against the
 /// [`ProbeResults`] of the plan that issued it.
@@ -208,107 +227,127 @@ impl ProbePlan {
         self.members.is_empty()
     }
 
-    /// Execute the plan: one fused arena sweep per touched member, tiles
-    /// parallelized over the ensemble's probe-thread budget. Every member's
-    /// engine must be compiled — updates patch the arenas in place, so this
-    /// holds in steady state; after a structural invalidation run the
-    /// explicit maintenance call [`Ensemble::recompile_models`] first.
+    /// Execute the plan with fresh scratch: one fused arena sweep per
+    /// touched member, tiles parallelized over the ensemble's probe-thread
+    /// budget. Every member's engine must be compiled — updates patch the
+    /// arenas in place, so this holds in steady state; after a structural
+    /// invalidation run the explicit maintenance call
+    /// [`Ensemble::recompile_models`] first.
     pub fn execute(&self, ens: &Ensemble) -> ProbeResults {
-        self.execute_with_threads(ens, ens.probe_thread_budget())
+        self.execute_with_threads(ens, 0)
     }
 
     /// Like [`ProbePlan::execute`] with an explicit worker-thread cap
     /// (`0` = the ensemble's budget). `threads <= 1` runs inline; results
     /// are identical either way.
     pub fn execute_with_threads(&self, ens: &Ensemble, threads: usize) -> ProbeResults {
-        self.execute_guarded(ens, threads, None, None)
+        let mut scratch = self.fresh_scratch(ens);
+        self.run(ens, &mut scratch, threads, None, None);
+        scratch.results
     }
 
-    /// Like [`ProbePlan::execute_with_threads`], with serving hooks: a
-    /// cooperative [`CancelFlag`] checked at every tile claim (deadline
-    /// enforcement — a cancelled execution's outputs are garbage, so the
-    /// caller must check the flag before trusting them) and a
-    /// deterministic tile fault hook (chaos testing). With both `None`
-    /// this *is* `execute_with_threads`, bitwise.
-    pub fn execute_guarded(
+    /// Scratch for one ad-hoc execution of this plan. Query-scoped pruning
+    /// rides along: with the plan cache on, each member's sweep is
+    /// restricted to the sub-DAG its probes can influence, through the
+    /// cache's shape-keyed active-set side table (bitwise identical to the
+    /// full sweep); with the cache off the cold path stays honest and sweeps
+    /// in full.
+    pub(crate) fn fresh_scratch(&self, ens: &Ensemble) -> PlanScratch {
+        let actives = if ens.plan_cache().enabled() {
+            self.active_sets(ens)
+        } else {
+            Vec::new()
+        };
+        PlanScratch::new(self, actives)
+    }
+
+    /// One pruning [`ActiveSet`] per plan member, in member order, for the
+    /// union of the SPN columns the member's probes constrain or target.
+    /// Literal-independent, so a holder may pin the sets once and reuse them
+    /// across rebinds of the same shape.
+    pub(crate) fn active_sets(&self, ens: &Ensemble) -> Vec<Arc<ActiveSet>> {
+        self.members
+            .iter()
+            .map(|m| crate::cache::active_set_for(ens, m.member, &m.constrained_columns()))
+            .collect()
+    }
+
+    /// The runner every execution goes through — one-shot, prepared, served
+    /// solo, fused or isolated, ad hoc: one fused sweep per touched member
+    /// into `scratch`, allocation-free on the inline branch once the
+    /// thread's tables have grown. `threads == 0` means the ensemble's
+    /// budget. Serving hooks: a cooperative [`CancelFlag`] checked at every
+    /// tile (deadline enforcement — a cancelled execution's outputs are
+    /// garbage, so the caller must check the flag before trusting them) and
+    /// a deterministic tile fault hook (chaos testing).
+    pub(crate) fn run(
         &self,
         ens: &Ensemble,
+        scratch: &mut PlanScratch,
         threads: usize,
         cancel: Option<&CancelFlag>,
         fault: Option<&TileFaultFn<'_>>,
-    ) -> ProbeResults {
-        let mut results: Vec<MemberResults> = self
-            .members
-            .iter()
-            .map(|m| MemberResults {
-                member: m.member,
-                values: vec![0.0; m.expect.len()],
-                mpe: vec![MpeOutcome::default(); m.mpe.len()],
-            })
-            .collect();
-        let threads = if threads == 0 {
-            ens.probe_thread_budget()
-        } else {
-            threads
-        };
+    ) {
+        let PlanScratch { results, actives } = scratch;
+        assert_eq!(results.plan, self.id, "scratch belongs to a different plan");
+        debug_assert!(
+            actives.is_empty() || actives.len() == self.members.len(),
+            "active sets must align with plan members"
+        );
         // Waking workers is only worth it once there is more than one
         // tile's worth of work — tiny plans (scalar COUNT/AVG/SUM bundles,
         // single predictions, even across several members) run inline.
-        let threads = if self.n_probes() <= SWEEP_TILE {
-            1
-        } else {
-            threads
+        let small = self.n_probes() <= SWEEP_TILE;
+        let threads = match threads {
+            _ if small => 1,
+            0 => ens.probe_thread_budget(),
+            n => n,
         };
-        // Query-scoped pruning: sweep only the sub-DAG whose scope
-        // intersects the batch's constrained/target columns, seeding the
-        // boundary from the arena's neutral tables (bitwise identical to the
-        // full sweep). The active sets are shape-keyed in the plan cache, so
-        // the steady-state serving path pays no per-query discovery; with
-        // the cache disabled the cold path stays honest and sweeps in full.
-        let actives: Vec<Option<Arc<ActiveSet>>> = if ens.plan_cache().enabled() {
-            self.members
+        LEAF_TABLES.with(|kept| {
+            // A small plan builds into the tables the thread keeps; a larger
+            // one (a GROUP BY fan, a prediction batch) into fresh ones, so
+            // what a thread keeps is bounded by a tile's worth of probes per
+            // member.
+            let (mut kept, mut fresh) = (kept.borrow_mut(), Vec::new());
+            let tables = if small { &mut *kept } else { &mut fresh };
+            // Line the tables up with the plan: entry `i` serves plan member
+            // `i`.
+            for (i, m) in self.members.iter().enumerate() {
+                let found = tables[i..].iter().position(|(id, _)| *id == m.member);
+                let j = found.map_or(tables.len(), |j| i + j);
+                if found.is_none() {
+                    tables.push((m.member, SweepTables::default()));
+                }
+                tables.swap(i, j);
+            }
+            let jobs = self
+                .members
                 .iter()
-                .map(|m| {
-                    Some(crate::cache::active_set_for(
-                        ens,
-                        m.member,
-                        &m.constrained_columns(),
-                    ))
-                })
-                .collect()
-        } else {
-            vec![None; self.members.len()]
-        };
-        let jobs: Vec<SweepJob<'_>> = self
-            .members
-            .iter()
-            .zip(results.iter_mut())
-            .zip(actives.iter())
-            .map(|((m, r), a)| SweepJob {
-                spn: ens.rspns()[m.member].engine(),
-                queries: &m.expect,
-                out: &mut r.values,
-                mpe: &m.mpe,
-                mpe_out: &mut r.mpe,
-                cancel,
-                fault,
-                active: a.as_deref(),
-            })
-            .collect();
-        ens.worker_pool().sweep(jobs, threads);
-        ProbeResults {
-            plan: self.id,
-            members: results,
-        }
+                .zip(results.members.iter_mut())
+                .zip(tables.iter_mut())
+                .enumerate()
+                .map(|(i, ((m, r), (_, t)))| SweepJob {
+                    spn: ens.rspns()[m.member].engine(),
+                    queries: &m.expect,
+                    out: &mut r.values,
+                    mpe: &m.mpe,
+                    mpe_out: &mut r.mpe,
+                    tables: t,
+                    cancel,
+                    fault,
+                    active: actives.get(i).map(|a| &**a),
+                });
+            ens.worker_pool().sweep(jobs, threads);
+        });
     }
 
     /// Cross-query fusion: append every probe of `other` into this plan's
     /// per-member batches, returning a [`PlanStitch`] that records where
     /// each of `other`'s per-member slices landed. After executing `self`
     /// once (one fused sweep per touched member covering *all* absorbed
-    /// clients), [`ProbeResults::extract`] demuxes a per-client
-    /// `ProbeResults` whose plan id is `other.id` — so handles and
-    /// resolvers issued against `other` resolve against it unchanged.
+    /// clients), [`ProbeResults::extract_into`] demuxes each client's slice
+    /// into that client's own results (plan id `other.id`) — so handles and
+    /// resolvers issued against `other` resolve against them unchanged.
     ///
     /// Registration order within each member is preserved per client, and
     /// a probe's value depends only on its own `SpnQuery` and the semiring
@@ -382,77 +421,6 @@ impl ProbePlan {
         }
         debug_assert_eq!(next, binds.len(), "bind positions out of range");
     }
-
-    /// A pre-sized result holder for [`ProbePlan::execute_into`] — allocate
-    /// once at prepare time, reuse for every execution.
-    pub(crate) fn blank_results(&self) -> ProbeResults {
-        ProbeResults {
-            plan: self.id,
-            members: self
-                .members
-                .iter()
-                .map(|m| MemberResults {
-                    member: m.member,
-                    values: vec![0.0; m.expect.len()],
-                    mpe: vec![MpeOutcome::default(); m.mpe.len()],
-                })
-                .collect(),
-        }
-    }
-
-    /// Execute the plan inline on the calling thread into pre-sized
-    /// `results`, reusing grow-only sweep scratch: the zero-allocation hot
-    /// path of a [`PreparedQuery`](crate::PreparedQuery). One fused sweep
-    /// per touched member, each member owning its own [`InlineSweep`] so the
-    /// leaf-value tables keep their per-model shape across executions
-    /// (sharing one table across differently-shaped models would realloc on
-    /// every alternation). Bitwise identical to [`ProbePlan::execute`] (the
-    /// per-tile arithmetic is shared with the pooled path).
-    /// `actives` carries one pruning [`ActiveSet`] per plan member in member
-    /// order (as built by [`ProbePlan::member_columns`] at prepare time);
-    /// empty means sweep every member in full.
-    pub(crate) fn execute_into(
-        &self,
-        ens: &Ensemble,
-        sweeps: &mut Vec<deepdb_spn::InlineSweep>,
-        actives: &[Arc<ActiveSet>],
-        results: &mut ProbeResults,
-    ) {
-        assert_eq!(results.plan, self.id, "results belong to a different plan");
-        debug_assert!(
-            actives.is_empty() || actives.len() == self.members.len(),
-            "active sets must align with plan members"
-        );
-        if sweeps.len() < self.members.len() {
-            sweeps.resize_with(self.members.len(), deepdb_spn::InlineSweep::new);
-        }
-        for (i, ((m, r), sweep)) in self
-            .members
-            .iter()
-            .zip(results.members.iter_mut())
-            .zip(sweeps.iter_mut())
-            .enumerate()
-        {
-            sweep.sweep(
-                ens.rspns()[m.member].engine(),
-                &m.expect,
-                &mut r.values,
-                &m.mpe,
-                &mut r.mpe,
-                actives.get(i).map(|a| a.as_ref()),
-            );
-        }
-    }
-
-    /// `(member, constrained-column union)` per plan member, in member
-    /// order — the inputs a caller needs to pin one [`ActiveSet`] per member
-    /// (e.g. a prepared query at prepare time).
-    pub(crate) fn member_columns(&self) -> Vec<(usize, Vec<usize>)> {
-        self.members
-            .iter()
-            .map(|m| (m.member, m.constrained_columns()))
-            .collect()
-    }
 }
 
 /// One absorbed client's footprint inside one member batch of a fused
@@ -467,7 +435,7 @@ struct StitchPart {
 }
 
 /// Where one absorbed client plan's probes landed inside a fused serving
-/// plan — the demux map consumed by [`ProbeResults::extract`].
+/// plan — the demux map consumed by [`ProbeResults::extract_into`].
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStitch {
     /// Id of the absorbed (client) plan; extracted results carry it.
@@ -487,6 +455,40 @@ struct MemberResults {
 pub struct ProbeResults {
     plan: u64,
     members: Vec<MemberResults>,
+}
+
+/// What one execution of a plan writes and reads beside the plan, owned by
+/// whoever executes it: results pre-sized to the plan and the members'
+/// pruning sets (empty = sweep every member in full). Sized for the plan it
+/// was made from; a clone of that plan (same id, same layout — the plan
+/// cache's working sets) may use it too.
+#[derive(Debug)]
+pub(crate) struct PlanScratch {
+    /// What the last [`ProbePlan::run`] (or a fused serving sweep's
+    /// [`ProbeResults::extract_into`]) wrote.
+    pub(crate) results: ProbeResults,
+    actives: Vec<Arc<ActiveSet>>,
+}
+
+impl PlanScratch {
+    pub(crate) fn new(plan: &ProbePlan, actives: Vec<Arc<ActiveSet>>) -> Self {
+        let members = plan
+            .members
+            .iter()
+            .map(|m| MemberResults {
+                member: m.member,
+                values: vec![0.0; m.expect.len()],
+                mpe: vec![MpeOutcome::default(); m.mpe.len()],
+            })
+            .collect();
+        PlanScratch {
+            results: ProbeResults {
+                plan: plan.id,
+                members,
+            },
+            actives,
+        }
+    }
 }
 
 impl ProbeResults {
@@ -516,29 +518,23 @@ impl ProbeResults {
             .unwrap_or_else(|| panic!("MPE handle {h:?} does not belong to these results"))
     }
 
-    /// Demux one absorbed client's slice of a fused serving sweep back into
-    /// a standalone `ProbeResults` carrying the client plan's id — the
-    /// client's own handles and resolvers index it directly.
-    pub(crate) fn extract(&self, stitch: &PlanStitch) -> ProbeResults {
-        let members = stitch
-            .parts
-            .iter()
-            .map(|p| {
-                let m = self
-                    .members
-                    .iter()
-                    .find(|m| m.member == p.member)
-                    .expect("stitch member missing from fused results");
-                MemberResults {
-                    member: p.member,
-                    values: m.values[p.expect_off..p.expect_off + p.expect_len].to_vec(),
-                    mpe: m.mpe[p.mpe_off..p.mpe_off + p.mpe_len].to_vec(),
-                }
-            })
-            .collect();
-        ProbeResults {
-            plan: stitch.plan,
-            members,
+    /// Demux one absorbed client's slice of a fused serving sweep into
+    /// `dst`, the pre-sized results of the client's own scratch — the
+    /// client's handles and resolver then read it exactly as after a solo
+    /// run. Allocation-free.
+    pub(crate) fn extract_into(&self, stitch: &PlanStitch, dst: &mut ProbeResults) {
+        assert_eq!(dst.plan, stitch.plan, "stitch belongs to a different plan");
+        for (p, d) in stitch.parts.iter().zip(&mut dst.members) {
+            let m = self
+                .members
+                .iter()
+                .find(|m| m.member == p.member)
+                .expect("stitch member missing from fused results");
+            debug_assert_eq!(d.member, p.member, "stitch and results disagree on layout");
+            d.values
+                .copy_from_slice(&m.values[p.expect_off..p.expect_off + p.expect_len]);
+            d.mpe
+                .copy_from_slice(&m.mpe[p.mpe_off..p.mpe_off + p.mpe_len]);
         }
     }
 

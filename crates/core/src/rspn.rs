@@ -326,7 +326,7 @@ impl Rspn {
             static SCRATCH: std::cell::RefCell<BatchEvaluator> =
                 std::cell::RefCell::new(BatchEvaluator::new());
         }
-        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), queries))
+        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), queries, None))
     }
 
     /// Most probable value of an SPN column given evidence, on the compiled
@@ -346,7 +346,7 @@ impl Rspn {
             static SCRATCH: std::cell::RefCell<MaxProductEvaluator> =
                 std::cell::RefCell::new(MaxProductEvaluator::new());
         }
-        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), probes))
+        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), probes, None))
     }
 
     /// Require `N_T = 1` for a table (inner-join semantics, Case 1/2).

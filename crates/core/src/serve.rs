@@ -13,10 +13,12 @@
 //! 1. **Admission** — a bounded in-flight counter; requests beyond
 //!    [`ServeConfig::queue_capacity`] are rejected immediately with
 //!    [`DeepDbError::Overloaded`] (backpressure, no unbounded queueing).
-//! 2. **Plan** — the request routes through the plan cache
-//!    ([`crate::cache`]): a shape hit costs one literal rebind.
+//! 2. **Plan** — the request checks a plan out of the plan cache
+//!    ([`crate::cache::Checkout`]): a shape hit costs one literal rebind of
+//!    a pooled working set.
 //! 3. **Lane** — the request's probes are absorbed into the forming
-//!    batch's shared [`ProbePlan`] ([`ProbePlan::absorb`]); the first
+//!    batch's shared [`ProbePlan`] ([`ProbePlan::absorb`]) and its checkout
+//!    rides along with the batch; the first
 //!    client in becomes the batch **leader**. The front has one sweep
 //!    **lane** per sweep thread ([`ServeConfig::threads`]). While a lane is
 //!    free the leader takes the batch and sweeps at once; while every lane
@@ -29,10 +31,13 @@
 //! 4. **Fused sweep** — the leader executes the shared plan: **one fused
 //!    sweep per touched RSPN member per batch**, tiles spread over the
 //!    ensemble's persistent worker pool, with a batch-wide [`CancelFlag`]
-//!    checked at every tile claim.
-//! 5. **Demux** — per-client slices are extracted back out
-//!    ([`ProbeResults::extract`]) and handed to each waiting client through
-//!    its slot; each client resolves its own typed handles.
+//!    checked at every tile claim. A batch of one skips fuse and demux and
+//!    runs its checkout directly. Solo, fused and isolated sweeps all go
+//!    through the one plan runner ([`ProbePlan::run`]).
+//! 5. **Demux** — per-client slices are copied into each client's own
+//!    checkout ([`crate::plan::ProbeResults::extract_into`]), which is handed
+//!    back through the client's slot; each client resolves through it and
+//!    drops it (checking its working set back in).
 //!
 //! # Robustness contract
 //!
@@ -48,8 +53,8 @@
 //!   and shrink the window (graceful degradation: less batching latency
 //!   under pressure, window recovery on clean batches).
 //! * **Panic isolation** — a panic inside the fused sweep aborts only the
-//!   shared execution; the leader re-executes every co-batched query
-//!   *individually* under its own `catch_unwind`, so the faulty query alone
+//!   shared execution; the leader re-executes every co-batched query's
+//!   checkout *individually* under its own `catch_unwind`, so the faulty query alone
 //!   fails with [`DeepDbError::QueryPanicked`] while its peers still get
 //!   bitwise-correct answers. The worker pool self-heals (panicked workers
 //!   replace their scratch wholesale).
@@ -74,12 +79,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use deepdb_spn::{CancelFlag, TileFault, TileFaultFn};
-use deepdb_storage::{Aggregate, Database, Query};
+use deepdb_storage::{Database, Query};
 
-use crate::cache::{self, ArtifactKind, Obtained, PreparedQuery};
+use crate::cache::{ArtifactKind, Checkout, PreparedQuery};
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
-use crate::plan::{PlanStitch, ProbePlan, ProbeResults};
+use crate::plan::{PlanStitch, ProbePlan};
 use crate::DeepDbError;
 
 // ---------------------------------------------------------------------------
@@ -315,15 +320,16 @@ pub struct ServeStats {
 // ---------------------------------------------------------------------------
 
 /// One client's result mailbox: filled exactly once (first write wins), the
-/// client waits on the condvar with its own deadline.
+/// client waits on the condvar with its own deadline. A success hands the
+/// client's checkout back with its results in place.
 #[derive(Default)]
 struct Slot {
-    cell: Mutex<Option<Result<ProbeResults, DeepDbError>>>,
+    cell: Mutex<Option<Result<Checkout, DeepDbError>>>,
     cv: Condvar,
 }
 
 impl Slot {
-    fn fill(&self, r: Result<ProbeResults, DeepDbError>) {
+    fn fill(&self, r: Result<Checkout, DeepDbError>) {
         let mut g = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
         if g.is_none() {
             *g = Some(r);
@@ -331,7 +337,7 @@ impl Slot {
         self.cv.notify_all();
     }
 
-    fn wait(&self, deadline: Option<Instant>) -> Result<ProbeResults, DeepDbError> {
+    fn wait(&self, deadline: Option<Instant>) -> Result<Checkout, DeepDbError> {
         let mut g = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(r) = g.take() {
@@ -362,9 +368,6 @@ struct Entry {
     slot: Arc<Slot>,
     /// Where this request's probes landed in the shared plan.
     stitch: PlanStitch,
-    /// The request's standalone plan — the isolation fallback re-executes
-    /// it alone after a fused-sweep panic.
-    solo: ProbePlan,
     /// Plan epoch observed when the request planned; a different epoch
     /// after the sweep means maintenance landed mid-flight → retry.
     epoch: u64,
@@ -374,6 +377,10 @@ struct Entry {
 struct FormingBatch {
     plan: ProbePlan,
     entries: Vec<Entry>,
+    /// Each entry's checkout, same order — beside `entries`, not inside, so
+    /// the executor can hand each one back by value while [`FillGuard`]
+    /// watches the slots.
+    checkouts: Vec<Checkout>,
     opened: Instant,
 }
 
@@ -690,14 +697,7 @@ impl<'a> ServeFront<'a> {
         deadline: Option<Instant>,
     ) -> Result<Estimate, DeepDbError> {
         self.fire(FaultSite::CacheLookup);
-        let kind = match query.aggregate {
-            Aggregate::CountStar => ArtifactKind::Count,
-            Aggregate::Avg(t) => ArtifactKind::Avg(t),
-            Aggregate::Sum(t) => ArtifactKind::Sum(t),
-        };
-        let epoch = self.ens.plan_epoch();
-        let (plan, obtained): (ProbePlan, Obtained) =
-            cache::obtain(self.ens, self.db, query, kind, &[])?;
+        let checkout = Checkout::new(self.ens, self.db, query, ArtifactKind::of(query), &[])?;
 
         let slot = Arc::new(Slot::default());
         let leader = {
@@ -705,16 +705,17 @@ impl<'a> ServeFront<'a> {
             let forming = st.forming.get_or_insert_with(|| FormingBatch {
                 plan: ProbePlan::new(),
                 entries: Vec::new(),
+                checkouts: Vec::new(),
                 opened: Instant::now(),
             });
-            let stitch = forming.plan.absorb(&plan);
+            let stitch = forming.plan.absorb(checkout.plan());
             forming.entries.push(Entry {
                 slot: Arc::clone(&slot),
                 stitch,
-                solo: plan,
-                epoch,
+                epoch: checkout.epoch,
                 deadline,
             });
+            forming.checkouts.push(checkout);
             let leader = forming.entries.len() == 1;
             if forming.entries.len() >= self.cfg.max_batch.max(1) {
                 // Batch is full: wake the leader early.
@@ -725,8 +726,8 @@ impl<'a> ServeFront<'a> {
         if leader {
             self.lead_batch(deadline);
         }
-        let results = match slot.wait(deadline) {
-            Ok(r) => r,
+        let checkout = match slot.wait(deadline) {
+            Ok(c) => c,
             Err(e) => {
                 if e == DeepDbError::DeadlineExceeded {
                     self.note_deadline_miss();
@@ -735,7 +736,7 @@ impl<'a> ServeFront<'a> {
             }
         };
         self.fire(FaultSite::CombineResolve);
-        obtained.resolver().resolve_single(&results)
+        Ok(checkout.resolve()?.0)
     }
 
     /// Leader role: take the batch at once if a sweep lane is free;
@@ -786,26 +787,31 @@ impl<'a> ServeFront<'a> {
     /// cancelled. Every slot is filled on every path (`FillGuard` backstops
     /// the unforeseen ones).
     fn execute_batch(&self, batch: FormingBatch) {
-        let FormingBatch { plan, entries, .. } = batch;
+        let FormingBatch {
+            plan,
+            entries,
+            mut checkouts,
+            ..
+        } = batch;
         self.batches.fetch_add(1, Ordering::Relaxed);
         if entries.len() >= 2 {
             self.fused_requests
                 .fetch_add(entries.len() as u64, Ordering::Relaxed);
         }
         let guard = FillGuard { entries: &entries };
+        let tile_hook = self.faults.clone().map(|fp| {
+            let ens = self.ens;
+            move || fp.tile_fault(ens)
+        });
+        let fault: Option<&TileFaultFn<'_>> = tile_hook.as_ref().map(|f| f as &TileFaultFn<'_>);
 
         if entries.len() == 1 {
             // Single-client fast path: the batch was taken with one entry, so
-            // the fused plan is that entry's solo plan plus stitch/demux
-            // overhead. Execute the solo plan directly — its results already
-            // carry the plan id the client's resolver expects.
+            // the fused plan is that entry's own plan plus stitch/demux
+            // overhead. Run its checkout directly.
             self.solo_fastpath.fetch_add(1, Ordering::Relaxed);
-            let tile_hook = self.faults.clone().map(|fp| {
-                let ens = self.ens;
-                move || fp.tile_fault(ens)
-            });
-            let fault: Option<&TileFaultFn<'_>> = tile_hook.as_ref().map(|f| f as &TileFaultFn<'_>);
-            if self.solo_execute(&entries[0], fault) {
+            let checkout = checkouts.pop().expect("one checkout per entry");
+            if self.solo_execute(&entries[0], checkout, fault) {
                 self.note_clean_batch();
             }
             drop(guard);
@@ -827,23 +833,23 @@ impl<'a> ServeFront<'a> {
             Some(d) if all_have_deadlines => CancelFlag::with_deadline(d),
             _ => CancelFlag::new(),
         };
-        let tile_hook = self.faults.clone().map(|fp| {
-            let ens = self.ens;
-            move || fp.tile_fault(ens)
-        });
-        let fault: Option<&TileFaultFn<'_>> = tile_hook.as_ref().map(|f| f as &TileFaultFn<'_>);
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            plan.execute_guarded(self.ens, self.cfg.threads, Some(&flag), fault)
+            let mut scratch = plan.fresh_scratch(self.ens);
+            plan.run(self.ens, &mut scratch, self.cfg.threads, Some(&flag), fault);
+            scratch
         }));
         match outcome {
-            Ok(results) if !flag.is_cancelled() => {
+            Ok(scratch) if !flag.is_cancelled() => {
                 let cur = self.ens.plan_epoch();
-                for e in &entries {
+                for (e, mut checkout) in entries.iter().zip(checkouts) {
                     if e.epoch != cur {
                         e.slot.fill(Err(DeepDbError::StalePlan));
                     } else {
-                        e.slot.fill(Ok(results.extract(&e.stitch)));
+                        scratch
+                            .results
+                            .extract_into(&e.stitch, checkout.results_mut());
+                        e.slot.fill(Ok(checkout));
                     }
                 }
                 self.note_clean_batch();
@@ -857,48 +863,41 @@ impl<'a> ServeFront<'a> {
             }
             Err(_) => {
                 // Fused sweep panicked: isolate — re-run every co-batched
-                // request alone so only the faulty one fails.
-                self.isolate(&entries, fault);
+                // request alone so only the faulty one fails. The worker
+                // pool has already self-healed (panicked workers replaced
+                // their scratch).
+                for (e, checkout) in entries.iter().zip(checkouts) {
+                    self.isolated_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    self.solo_execute(e, checkout, fault);
+                }
             }
         }
         drop(guard);
     }
 
-    /// Per-client isolated fallback after a fused-sweep panic: each
-    /// request's standalone plan re-executes under its own `catch_unwind`
-    /// and its own deadline flag, so the faulty request alone gets
-    /// `QueryPanicked` while its peers complete bitwise-correctly. The
-    /// worker pool has already self-healed (panicked workers replaced
-    /// their scratch).
-    fn isolate(&self, entries: &[Entry], fault: Option<&TileFaultFn<'_>>) {
-        for e in entries {
-            self.isolated_fallbacks.fetch_add(1, Ordering::Relaxed);
-            self.solo_execute(e, fault);
-        }
-    }
-
-    /// Execute one entry's standalone plan under its own deadline flag and
-    /// fill its slot; returns `true` when the execution completed cleanly
-    /// (neither cancelled nor panicked). Shared by the single-client fast
-    /// path and the post-panic isolation fallback.
-    fn solo_execute(&self, e: &Entry, fault: Option<&TileFaultFn<'_>>) -> bool {
+    /// Run one entry's own checkout under its own `catch_unwind` and its own
+    /// deadline flag, and fill its slot; returns `true` when the execution
+    /// completed cleanly (neither cancelled nor panicked). Shared by the
+    /// single-client fast path and the post-panic isolation fallback, where
+    /// it is what confines `QueryPanicked` to the faulty request while its
+    /// peers complete bitwise-correctly.
+    fn solo_execute(
+        &self,
+        e: &Entry,
+        mut checkout: Checkout,
+        fault: Option<&TileFaultFn<'_>>,
+    ) -> bool {
         let flag = match e.deadline {
             Some(d) => CancelFlag::with_deadline(d),
             None => CancelFlag::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            e.solo
-                .execute_guarded(self.ens, self.cfg.threads, Some(&flag), fault)
+            checkout.run(self.ens, self.cfg.threads, Some(&flag), fault)
         }));
         let filled = match outcome {
-            Ok(_) if flag.is_cancelled() => Err(DeepDbError::DeadlineExceeded),
-            Ok(results) => {
-                if e.epoch != self.ens.plan_epoch() {
-                    Err(DeepDbError::StalePlan)
-                } else {
-                    Ok(results)
-                }
-            }
+            Ok(()) if flag.is_cancelled() => Err(DeepDbError::DeadlineExceeded),
+            Ok(()) if e.epoch != self.ens.plan_epoch() => Err(DeepDbError::StalePlan),
+            Ok(()) => Ok(checkout),
             Err(payload) => {
                 self.query_panics.fetch_add(1, Ordering::Relaxed);
                 Err(DeepDbError::QueryPanicked(panic_message(payload)))

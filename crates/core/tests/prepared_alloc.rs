@@ -1,8 +1,10 @@
 //! Acceptance check: the prepared-query execute path performs **zero heap
 //! allocations** in steady state. A counting `#[global_allocator]` wraps the
-//! system allocator; after a short warmup (thread-local evaluator scratch and
-//! the inline sweep's grow-only leaf-value tables reach capacity), repeated
-//! `PreparedQuery::execute` calls must not allocate at all.
+//! system allocator; after a short warmup (thread-local sweep scratch and
+//! the working set's grow-only leaf-value tables reach capacity), repeated
+//! `PreparedQuery::execute` calls must not allocate at all — and a one-shot
+//! plan-cache hit, which executes through the same pooled working set, pays
+//! only for what wraps it (validation, the shape key, the literal vector).
 //!
 //! Everything runs in ONE `#[test]` so no concurrently running test can
 //! pollute the counter.
@@ -10,6 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use deepdb_core::compile::estimate_count;
 use deepdb_core::{query_literals, EnsembleBuilder, EnsembleParams, EnsembleStrategy, JoinOrderer};
 use deepdb_storage::fixtures::correlated_customer_order;
 use deepdb_storage::{CmpOp, PredOp, Query, Value};
@@ -84,6 +87,30 @@ fn prepared_execute_steady_state_allocates_nothing() {
         assert_eq!(
             allocs, 0,
             "scenario {si}: prepared execute allocated {allocs} times in steady state"
+        );
+        assert!(sink.is_finite());
+
+        // A one-shot hit of the same shape checks a working set out of the
+        // entry the prepared query shares (the prepared query holds one, so
+        // the warm-up grows a second), rebinds it and runs it: what is left
+        // to allocate is validation's two BFS vectors, the shape key and the
+        // literal vector.
+        let mut q = query.clone();
+        for _ in 0..3 {
+            estimate_count(&ens, &db, &q).unwrap();
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for round in 0..10 {
+            q.predicates[0].op = match si {
+                0 => PredOp::Between(Value::Int(20 + round), Value::Int(60)),
+                _ => PredOp::Cmp(CmpOp::Le, Value::Int(45 + round)),
+            };
+            sink += estimate_count(&ens, &db, &q).unwrap().value;
+        }
+        let per_op = (ALLOCS.load(Ordering::Relaxed) - before) / 10;
+        assert!(
+            per_op <= 12,
+            "scenario {si}: a one-shot plan-cache hit allocated {per_op} times per op"
         );
         assert!(sink.is_finite());
     }

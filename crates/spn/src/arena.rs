@@ -406,7 +406,7 @@ impl CompiledSpn {
     /// Convenience single-query evaluation (allocates a fresh scratch; for
     /// hot paths hold a [`crate::BatchEvaluator`] and batch queries).
     pub fn evaluate(&self, query: &crate::SpnQuery) -> f64 {
-        crate::batch::BatchEvaluator::new().evaluate(self, std::slice::from_ref(query))[0]
+        crate::batch::BatchEvaluator::new().evaluate(self, std::slice::from_ref(query), None)[0]
     }
 
     /// Cached mode of a leaf payload (`None` for an empty leaf) — the O(1)
@@ -426,8 +426,12 @@ impl CompiledSpn {
     /// [`crate::MaxProductEvaluator`] and batch probes).
     pub fn most_probable_value(&self, target: usize, query: &crate::SpnQuery) -> Option<f64> {
         let probe = crate::MpeProbe::new(target, query.clone());
-        crate::maxprod::MaxProductEvaluator::new().evaluate(self, std::slice::from_ref(&probe))[0]
-            .value
+        crate::maxprod::MaxProductEvaluator::new().evaluate(
+            self,
+            std::slice::from_ref(&probe),
+            None,
+        )[0]
+        .value
     }
 
     // -- In-place patching ---------------------------------------------------

@@ -29,9 +29,9 @@
 //! [`CompiledSpn`]s and never allocates at steady state.
 //!
 //! Multi-model fused sweeps (the engine behind `deepdb-core`'s probe plans)
-//! live in [`crate::pool`]: [`crate::sweep_models`] load-balances the tiles
-//! of all models across a persistent worker pool, bitwise identical to the
-//! sequential path for any thread count.
+//! live in [`crate::pool`]: [`crate::WorkerPool::sweep`] runs the tiles of
+//! all models inline or load-balanced across a persistent worker pool,
+//! bitwise identical to this evaluator for any thread count.
 
 use crate::arena::{ActiveSet, CompiledSpn};
 use crate::kernel::{Expectation, LeafValueTable, SweepScratch};
@@ -48,8 +48,7 @@ pub const SWEEP_TILE: usize = 32;
 #[derive(Debug, Clone, Default)]
 pub struct BatchEvaluator {
     scratch: SweepScratch,
-    /// Per-batch (leaf × distinct slot) value table for self-contained
-    /// evaluations; pooled sweeps pass a job-wide table in instead.
+    /// Per-batch (leaf × distinct slot) value table.
     table: LeafValueTable,
 }
 
@@ -59,59 +58,39 @@ impl BatchEvaluator {
     }
 
     /// Evaluate every query against `spn`, returning one expectation per
-    /// query (same order). Counts as one fused sweep.
-    pub fn evaluate(&mut self, spn: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.evaluate_into(spn, queries, &mut out);
-        out
-    }
-
-    /// Like [`BatchEvaluator::evaluate`] but into a caller-owned buffer
-    /// (cleared first), for allocation-free steady state. Counts as one
-    /// fused sweep.
-    pub fn evaluate_into(&mut self, spn: &CompiledSpn, queries: &[SpnQuery], out: &mut Vec<f64>) {
-        self.evaluate_into_impl(spn, queries, out, true, None);
-    }
-
-    /// Scalar-kernel twin of [`BatchEvaluator::evaluate`]: the reference
-    /// path the SIMD kernels are differentially tested against (results are
-    /// bitwise identical). Counts as one fused sweep.
-    pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, queries, &mut out, false, None);
-        out
-    }
-
-    /// Pruned twin of [`BatchEvaluator::evaluate`]: sweeps only `active`'s
-    /// compacted runs, seeding pruned-out boundary rows from the arena's
-    /// neutral table. Bitwise identical to the full sweep whenever `active`
-    /// covers the union of the batch's constrained columns (see
-    /// [`CompiledSpn::active_set`]). Counts as one fused sweep.
-    pub fn evaluate_pruned(
+    /// query (same order). With `active`, the sweep visits only the set's
+    /// compacted runs and seeds pruned-out boundary rows from the arena's
+    /// neutral table — bitwise identical to the full sweep (`None`)
+    /// whenever `active` covers the union of the batch's constrained
+    /// columns (see [`CompiledSpn::active_set`]). Counts as one fused sweep.
+    pub fn evaluate(
         &mut self,
         spn: &CompiledSpn,
         queries: &[SpnQuery],
-        active: &ActiveSet,
+        active: Option<&ActiveSet>,
     ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, queries, &mut out, true, Some(active));
-        out
+        self.run(spn, queries, true, active)
     }
 
-    fn evaluate_into_impl(
+    /// Scalar-kernel twin of a full [`BatchEvaluator::evaluate`]: the
+    /// reference path the SIMD kernels are differentially tested against
+    /// (results are bitwise identical). Counts as one fused sweep.
+    pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
+        self.run(spn, queries, false, None)
+    }
+
+    fn run(
         &mut self,
         spn: &CompiledSpn,
         queries: &[SpnQuery],
-        out: &mut Vec<f64>,
         simd: bool,
         active: Option<&ActiveSet>,
-    ) {
-        out.clear();
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; queries.len()];
         if queries.is_empty() {
-            return;
+            return out;
         }
         spn.note_sweep();
-        out.resize(queries.len(), 0.0);
         // Leaf values are evaluated once per (leaf, distinct slot) for the
         // WHOLE batch; the per-tile sweeps below only gather from the table.
         self.table.build::<Expectation>(spn, queries);
@@ -129,76 +108,18 @@ impl BatchEvaluator {
             );
             base += tile.len();
         }
-    }
-
-    /// One forward sweep over the arena for a single chunk of queries,
-    /// writing one expectation per query into `out` (same order). Does
-    /// **not** bump the model's sweep counter — callers orchestrating a
-    /// larger fused sweep ([`crate::sweep_models`]) account for it once per
-    /// model. Chunks at or below [`SWEEP_TILE`] queries keep the scratch
-    /// cache-resident; larger chunks work but grow it.
-    pub fn evaluate_chunk(&mut self, spn: &CompiledSpn, queries: &[SpnQuery], out: &mut [f64]) {
-        self.table.build::<Expectation>(spn, queries);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            queries,
-            0,
-            out,
-            true,
-            None,
-        );
-    }
-
-    /// Scalar-kernel twin of [`BatchEvaluator::evaluate_chunk`].
-    pub fn evaluate_chunk_scalar(
-        &mut self,
-        spn: &CompiledSpn,
-        queries: &[SpnQuery],
-        out: &mut [f64],
-    ) {
-        self.table.build::<Expectation>(spn, queries);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            queries,
-            0,
-            out,
-            false,
-            None,
-        );
-    }
-
-    /// Pooled-tile entry: sweep one tile against a **job-wide** leaf-value
-    /// table built by the submitter (`base` = the tile's offset within the
-    /// job's query batch), so tiles never re-evaluate shared leaf work.
-    /// `active` prunes the tile's sweep to the job's active sub-DAG.
-    pub(crate) fn evaluate_chunk_shared(
-        &mut self,
-        spn: &CompiledSpn,
-        queries: &[SpnQuery],
-        table: &LeafValueTable,
-        base: usize,
-        out: &mut [f64],
-        active: Option<&ActiveSet>,
-    ) {
-        chunk(
-            &mut self.scratch,
-            table,
-            spn,
-            queries,
-            base,
-            out,
-            true,
-            active,
-        );
+        out
     }
 }
 
+/// One forward sweep over the arena for one tile of queries, writing one
+/// expectation per query into `out` — the tile entry of both
+/// [`BatchEvaluator`] and [`crate::WorkerPool::sweep`]. `table` is the
+/// leaf-value table of the whole batch and `base` the tile's offset within
+/// it, so tiles never re-evaluate shared leaf work. Does not bump the
+/// model's sweep counter — the batch accounts for it once.
 #[allow(clippy::too_many_arguments)]
-fn chunk(
+pub(crate) fn chunk(
     scratch: &mut SweepScratch,
     table: &LeafValueTable,
     spn: &CompiledSpn,
@@ -220,7 +141,9 @@ fn chunk(
 mod tests {
     use super::*;
     use crate::maxprod::{MaxProductEvaluator, MpeOutcome, MpeProbe};
-    use crate::{sweep_models, ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams, SweepJob};
+    use crate::{
+        ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams, SweepJob, SweepTables, WorkerPool,
+    };
 
     fn small_spn() -> Spn {
         let cols = vec![
@@ -249,7 +172,7 @@ mod tests {
         let compiled = spn.compile();
         let queries = probe_mix();
         let mut ev = BatchEvaluator::new();
-        let batch = ev.evaluate(&compiled, &queries);
+        let batch = ev.evaluate(&compiled, &queries, None);
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let single = spn.evaluate(q);
@@ -271,7 +194,7 @@ mod tests {
         for n in [1, 2, 3, 4, 5, 31, 32, 33, 65] {
             let queries: Vec<SpnQuery> = (0..n).map(|i| base[i % base.len()].clone()).collect();
             let mut ev = BatchEvaluator::new();
-            let simd = ev.evaluate(&compiled, &queries);
+            let simd = ev.evaluate(&compiled, &queries, None);
             let scalar = ev.evaluate_scalar(&compiled, &queries);
             let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
             let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
@@ -328,7 +251,7 @@ mod tests {
             })
             .collect();
         let mut ev = BatchEvaluator::new();
-        let simd = ev.evaluate(&compiled, &queries);
+        let simd = ev.evaluate(&compiled, &queries, None);
         let scalar = ev.evaluate_scalar(&compiled, &queries);
         for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
             assert_eq!(s.to_bits(), c.to_bits(), "query {i}: simd vs scalar");
@@ -353,10 +276,10 @@ mod tests {
         let mut ev = BatchEvaluator::new();
         let qa = vec![SpnQuery::new(2)];
         let qb = vec![SpnQuery::new(2).with_pred(0, LeafPred::eq(5.0))];
-        assert!((ev.evaluate(&ca, &qa)[0] - 1.0).abs() < 1e-12);
-        assert!((ev.evaluate(&cb, &qb)[0] - 0.5).abs() < 1e-12);
+        assert!((ev.evaluate(&ca, &qa, None)[0] - 1.0).abs() < 1e-12);
+        assert!((ev.evaluate(&cb, &qb, None)[0] - 0.5).abs() < 1e-12);
         // And back again.
-        assert!((ev.evaluate(&ca, &qa)[0] - 1.0).abs() < 1e-12);
+        assert!((ev.evaluate(&ca, &qa, None)[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -364,7 +287,7 @@ mod tests {
         let spn = small_spn();
         let compiled = spn.compile();
         let mut ev = BatchEvaluator::new();
-        assert!(ev.evaluate(&compiled, &[]).is_empty());
+        assert!(ev.evaluate(&compiled, &[], None).is_empty());
     }
 
     #[test]
@@ -372,11 +295,11 @@ mod tests {
     fn arity_mismatch_panics() {
         let spn = small_spn();
         let compiled = spn.compile();
-        BatchEvaluator::new().evaluate(&compiled, &[SpnQuery::new(3)]);
+        BatchEvaluator::new().evaluate(&compiled, &[SpnQuery::new(3)], None);
     }
 
     #[test]
-    fn sweep_models_matches_sequential_bitwise_any_thread_count() {
+    fn pool_sweep_matches_sequential_bitwise_any_thread_count() {
         let spn_a = small_spn();
         let cols = vec![vec![5.0, 6.0, 7.0, 5.0], vec![1.0, 1.0, 2.0, 2.0]];
         let meta = vec![ColumnMeta::discrete("x"), ColumnMeta::discrete("y")];
@@ -391,16 +314,18 @@ mod tests {
             .collect();
 
         let mut ev = BatchEvaluator::new();
-        let want_a = ev.evaluate(&ca, &qa);
-        let want_b = ev.evaluate(&cb, &qb);
+        let want_a = ev.evaluate(&ca, &qa, None);
+        let want_b = ev.evaluate(&cb, &qb, None);
 
+        let pool = WorkerPool::new();
+        let (mut ta, mut tb) = (SweepTables::default(), SweepTables::default());
         for threads in [1, 2, 4, 7] {
             let mut got_a = vec![0.0; qa.len()];
             let mut got_b = vec![0.0; qb.len()];
-            sweep_models(
-                vec![
-                    SweepJob::expect(&ca, &qa, &mut got_a),
-                    SweepJob::expect(&cb, &qb, &mut got_b),
+            pool.sweep(
+                [
+                    SweepJob::expect(&ca, &qa, &mut got_a, &mut ta),
+                    SweepJob::expect(&cb, &qb, &mut got_b, &mut tb),
                 ],
                 threads,
             );
@@ -416,27 +341,33 @@ mod tests {
         let queries: Vec<SpnQuery> = (0..80).map(|_| SpnQuery::new(2)).collect();
         let before = compiled.sweep_count();
         // One evaluate call = one sweep, regardless of tile count.
-        BatchEvaluator::new().evaluate(&compiled, &queries);
+        BatchEvaluator::new().evaluate(&compiled, &queries, None);
         assert_eq!(compiled.sweep_count(), before + 1);
-        // One sweep_models job = one sweep, even multi-threaded.
+        // One pool job = one sweep, even multi-threaded.
+        let pool = WorkerPool::new();
+        let mut tables = SweepTables::default();
         let mut out = vec![0.0; queries.len()];
-        sweep_models(vec![SweepJob::expect(&compiled, &queries, &mut out)], 4);
+        pool.sweep(
+            [SweepJob::expect(&compiled, &queries, &mut out, &mut tables)],
+            4,
+        );
         assert_eq!(compiled.sweep_count(), before + 2);
         // Empty jobs don't count.
-        sweep_models(vec![SweepJob::expect(&compiled, &[], &mut [])], 2);
+        pool.sweep([SweepJob::expect(&compiled, &[], &mut [], &mut tables)], 2);
         assert_eq!(compiled.sweep_count(), before + 2);
         // A job carrying both probe kinds still counts as ONE sweep.
         let probes: Vec<MpeProbe> = (0..40)
             .map(|i| MpeProbe::new(0, SpnQuery::new(2).with_pred(1, LeafPred::ge(i as f64))))
             .collect();
         let mut mpe_out = vec![MpeOutcome::default(); probes.len()];
-        sweep_models(
-            vec![SweepJob {
+        pool.sweep(
+            [SweepJob {
                 spn: &compiled,
                 queries: &queries,
                 out: &mut out,
                 mpe: &probes,
                 mpe_out: &mut mpe_out,
+                tables: &mut tables,
                 cancel: None,
                 fault: None,
                 active: None,
@@ -459,24 +390,27 @@ mod tests {
                 )
             })
             .collect();
-        let want_q = BatchEvaluator::new().evaluate(&compiled, &queries);
-        let want_p = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let want_q = BatchEvaluator::new().evaluate(&compiled, &queries, None);
+        let want_p = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
         // And both must equal the recursive oracle.
         for (p, w) in probes.iter().zip(&want_p) {
             let (score, value) = spn.mpe_outcome(p.target, &p.query);
             assert_eq!(w.value, value);
             assert_eq!(w.score.to_bits(), score.to_bits());
         }
+        let pool = WorkerPool::new();
+        let mut tables = SweepTables::default();
         for threads in [1, 2, 4] {
             let mut got_q = vec![0.0; queries.len()];
             let mut got_p = vec![MpeOutcome::default(); probes.len()];
-            sweep_models(
-                vec![SweepJob {
+            pool.sweep(
+                [SweepJob {
                     spn: &compiled,
                     queries: &queries,
                     out: &mut got_q,
                     mpe: &probes,
                     mpe_out: &mut got_p,
+                    tables: &mut tables,
                     cancel: None,
                     fault: None,
                     active: None,

@@ -162,6 +162,10 @@ pub(crate) struct LeafValueTable {
     vals: Vec<f64>,
     /// Hoisted `n_probes × n_cols` compiled slots (build scratch).
     slots: Vec<CompiledSlot>,
+    /// Normalized predicates of slots the last builds emptied or cut off,
+    /// buffers intact, for the next slot that needs one: a table shared by
+    /// alternating probe layouts stops allocating once it has seen them all.
+    spare: Vec<NormPred>,
     /// Per column, the probe index carrying the first occurrence of each
     /// distinct slot (build scratch).
     col_reps: Vec<Vec<u32>>,
@@ -179,12 +183,28 @@ impl LeafValueTable {
         self.n_cols = n_cols;
 
         // Hoist predicate normalization: once per (probe, column) per batch.
-        // The recursive oracle re-normalizes at every leaf visit. Existing
-        // compiled slots are re-assigned in place ([`NormPred::assign`]), so
-        // a table rebuilt for the same probe layout — the steady state of a
-        // prepared query — allocates nothing.
-        self.slots.truncate(n_q * n_cols);
+        // The recursive oracle re-normalizes at every leaf visit. Compiled
+        // slots are re-assigned in place ([`NormPred::assign`]) and the
+        // normalized predicate of a slot that empties is kept as a spare, so
+        // a table rebuilt for a probe layout it has held before — the steady
+        // state of a prepared query, or of one thread's query mix —
+        // allocates nothing.
+        let spare = &mut self.spare;
+        let n_slots = n_q * n_cols;
+        if n_slots < self.slots.len() {
+            spare.extend(self.slots.drain(n_slots..).flatten().map(|(_, np)| np));
+        }
         let reusable = self.slots.len();
+        let compile = |s: &crate::Slot, spare: &mut Vec<NormPred>| {
+            let func = s.func.unwrap_or(LeafFunc::One);
+            match spare.pop() {
+                Some(mut np) => {
+                    np.assign(&s.preds);
+                    (func, np)
+                }
+                None => (func, NormPred::new(&s.preds)),
+            }
+        };
         let mut idx = 0;
         for p in probes {
             let q = K::query(p);
@@ -192,23 +212,20 @@ impl LeafValueTable {
                 let src = q.slot(col);
                 if idx < reusable {
                     let dst = &mut self.slots[idx];
-                    match src {
-                        None => *dst = None,
-                        Some(s) => {
-                            let func = s.func.unwrap_or(LeafFunc::One);
-                            match dst {
-                                Some((f, np)) => {
-                                    *f = func;
-                                    np.assign(&s.preds);
-                                }
-                                None => *dst = Some((func, NormPred::new(&s.preds))),
+                    match (src, &mut *dst) {
+                        (Some(s), Some((f, np))) => {
+                            *f = s.func.unwrap_or(LeafFunc::One);
+                            np.assign(&s.preds);
+                        }
+                        (Some(s), None) => *dst = Some(compile(s, spare)),
+                        (None, _) => {
+                            if let Some((_, np)) = dst.take() {
+                                spare.push(np);
                             }
                         }
                     }
                 } else {
-                    self.slots.push(
-                        src.map(|s| (s.func.unwrap_or(LeafFunc::One), NormPred::new(&s.preds))),
-                    );
+                    self.slots.push(src.map(|s| compile(s, spare)));
                 }
                 idx += 1;
             }

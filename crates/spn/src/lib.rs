@@ -41,13 +41,14 @@
 //!   explicit-lane (`f64x4`-style) arithmetic that is **bitwise identical**
 //!   to the scalar reference path (`evaluate_scalar`) — no FMA contraction,
 //!   no reassociation, zero-skips as lanewise freezes;
-//! * [`sweep_models`] / [`WorkerPool`] — one fused sweep per compiled model
-//!   with the tiles of all models (expectation **and** MPE probes alike)
-//!   load-balanced across a **persistent worker pool**: workers keep pinned
-//!   evaluator scratch for their lifetime, claim tiles off an atomic
-//!   cursor, and park between jobs; the execution engine of `deepdb-core`'s
-//!   probe plans. Evaluation is `&self`-safe, and results are bitwise
-//!   identical for every thread count and kernel flavor;
+//! * [`WorkerPool::sweep`] — the one sweep routine: one fused sweep per
+//!   compiled model, leaf-value tables built into caller-owned
+//!   [`SweepTables`], tiles (expectation **and** MPE probes alike) run
+//!   inline or load-balanced across a **persistent worker pool**: workers
+//!   keep pinned evaluator scratch for their lifetime, claim tiles off an
+//!   atomic cursor, and park between jobs; the execution engine of
+//!   `deepdb-core`'s probe plans. Evaluation is `&self`-safe, and results
+//!   are bitwise identical for every thread count and kernel flavor;
 //! * [`ActiveSet`] — query-scoped sub-DAG pruning: the arena caches each
 //!   node's query-independent (empty-query) value per semiring, and a sweep
 //!   restricted to the nodes whose scope intersects the constrained/target
@@ -85,6 +86,5 @@ pub use learn::SpnParams;
 pub use maxprod::{MaxProductEvaluator, MpeOutcome, MpeProbe};
 pub use node::{Node, ProductNode, Spn, SumNode};
 pub use pool::{
-    default_threads, sweep_models, CancelFlag, InlineSweep, SweepJob, TileFault, TileFaultFn,
-    WorkerPool,
+    default_threads, CancelFlag, SweepJob, SweepTables, TileFault, TileFaultFn, WorkerPool,
 };

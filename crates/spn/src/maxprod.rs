@@ -72,8 +72,7 @@ impl Default for MpeOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct MaxProductEvaluator {
     scratch: SweepScratch,
-    /// Per-batch (leaf × distinct slot) value table for self-contained
-    /// evaluations; pooled sweeps pass a job-wide table in instead.
+    /// Per-batch (leaf × distinct slot) value table.
     table: LeafValueTable,
 }
 
@@ -83,64 +82,40 @@ impl MaxProductEvaluator {
     }
 
     /// Evaluate every probe against `spn`, returning one outcome per probe
-    /// (same order). Counts as one fused sweep.
-    pub fn evaluate(&mut self, spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into(spn, probes, &mut out);
-        out
-    }
-
-    /// Like [`MaxProductEvaluator::evaluate`] but into a caller-owned buffer
-    /// (cleared first). Counts as one fused sweep.
-    pub fn evaluate_into(
+    /// (same order). With `active`, the sweep visits only the set's
+    /// compacted runs and seeds pruned-out boundary rows from the arena's
+    /// neutral table — bitwise identical to the full sweep (`None`)
+    /// whenever `active` covers the union of the batch's evidence columns
+    /// **and every probe's target column** (see
+    /// [`CompiledSpn::active_set`]). Counts as one fused sweep.
+    pub fn evaluate(
         &mut self,
         spn: &CompiledSpn,
         probes: &[MpeProbe],
-        out: &mut Vec<MpeOutcome>,
-    ) {
-        self.evaluate_into_impl(spn, probes, out, true, None);
+        active: Option<&ActiveSet>,
+    ) -> Vec<MpeOutcome> {
+        self.run(spn, probes, true, active)
     }
 
-    /// Scalar-kernel twin of [`MaxProductEvaluator::evaluate`]: the
+    /// Scalar-kernel twin of a full [`MaxProductEvaluator::evaluate`]: the
     /// reference path the SIMD kernels are differentially tested against
     /// (results are bitwise identical). Counts as one fused sweep.
     pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, probes, &mut out, false, None);
-        out
+        self.run(spn, probes, false, None)
     }
 
-    /// Pruned twin of [`MaxProductEvaluator::evaluate`]: sweeps only
-    /// `active`'s compacted runs, seeding pruned-out boundary rows from the
-    /// arena's neutral table. Bitwise identical to the full sweep whenever
-    /// `active` covers the union of the batch's evidence columns **and
-    /// every probe's target column** (see [`CompiledSpn::active_set`]).
-    /// Counts as one fused sweep.
-    pub fn evaluate_pruned(
+    fn run(
         &mut self,
         spn: &CompiledSpn,
         probes: &[MpeProbe],
-        active: &ActiveSet,
-    ) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, probes, &mut out, true, Some(active));
-        out
-    }
-
-    fn evaluate_into_impl(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut Vec<MpeOutcome>,
         simd: bool,
         active: Option<&ActiveSet>,
-    ) {
-        out.clear();
+    ) -> Vec<MpeOutcome> {
+        let mut out = vec![MpeOutcome::default(); probes.len()];
         if probes.is_empty() {
-            return;
+            return out;
         }
         spn.note_sweep();
-        out.resize(probes.len(), MpeOutcome::default());
         // Leaf values are evaluated once per (leaf, distinct slot) for the
         // WHOLE batch; the per-tile sweeps below only gather from the table.
         self.table.build::<MaxProduct>(spn, probes);
@@ -158,79 +133,14 @@ impl MaxProductEvaluator {
             );
             base += tile.len();
         }
-    }
-
-    /// One forward max-product sweep for a single chunk of probes. Does
-    /// **not** bump the model's sweep counter — callers orchestrating a
-    /// larger fused sweep ([`crate::sweep_models`]) account for it once per
-    /// model.
-    pub fn evaluate_chunk(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut [MpeOutcome],
-    ) {
-        self.table.build::<MaxProduct>(spn, probes);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            probes,
-            0,
-            out,
-            true,
-            None,
-        );
-    }
-
-    /// Scalar-kernel twin of [`MaxProductEvaluator::evaluate_chunk`].
-    pub fn evaluate_chunk_scalar(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut [MpeOutcome],
-    ) {
-        self.table.build::<MaxProduct>(spn, probes);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            probes,
-            0,
-            out,
-            false,
-            None,
-        );
-    }
-
-    /// Pooled-tile entry: sweep one tile against a **job-wide** leaf-value
-    /// table built by the submitter (`base` = the tile's offset within the
-    /// job's probe batch), so tiles never re-evaluate shared leaf work.
-    /// `active` prunes the tile's sweep to the job's active sub-DAG.
-    pub(crate) fn evaluate_chunk_shared(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        table: &LeafValueTable,
-        base: usize,
-        out: &mut [MpeOutcome],
-        active: Option<&ActiveSet>,
-    ) {
-        chunk(
-            &mut self.scratch,
-            table,
-            spn,
-            probes,
-            base,
-            out,
-            true,
-            active,
-        );
+        out
     }
 }
 
+/// The max-product twin of [`crate::batch::chunk`]: one tile of probes
+/// against the batch-wide `table`, one [`MpeOutcome`] per probe into `out`.
 #[allow(clippy::too_many_arguments)]
-fn chunk(
+pub(crate) fn chunk(
     scratch: &mut SweepScratch,
     table: &LeafValueTable,
     spn: &CompiledSpn,
@@ -327,7 +237,7 @@ mod tests {
         let probes: Vec<MpeProbe> = (0..33)
             .map(|_| MpeProbe::new(0, SpnQuery::new(1)))
             .collect();
-        let simd = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let simd = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
         let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
         assert_eq!(simd, scalar);
         for got in &simd {
@@ -353,8 +263,11 @@ mod tests {
             SpnQuery::new(2).with_pred(1, LeafPred::eq(500.0)),
         ] {
             let (want_score, want_value) = spn.mpe_outcome(0, &q);
-            let got =
-                MaxProductEvaluator::new().evaluate(&compiled, &[MpeProbe::new(0, q.clone())])[0];
+            let got = MaxProductEvaluator::new().evaluate(
+                &compiled,
+                &[MpeProbe::new(0, q.clone())],
+                None,
+            )[0];
             assert_eq!(got.value, want_value, "value for {q:?}");
             assert_eq!(got.score.to_bits(), want_score.to_bits(), "score for {q:?}");
         }
@@ -379,7 +292,7 @@ mod tests {
                 )
             })
             .collect();
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
         assert_eq!(got.len(), probes.len());
         for (i, p) in probes.iter().enumerate() {
             let (score, value) = spn.mpe_outcome(p.target, &p.query);

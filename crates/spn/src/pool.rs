@@ -1,15 +1,18 @@
-//! Persistent worker pool for fused multi-model sweeps.
+//! Fused multi-model sweeps: one routine, inline or across a persistent
+//! worker pool.
 //!
-//! [`sweep_models`] used to spawn fresh scoped threads behind a
-//! `Mutex<Vec>` tile queue on every call — measurable fixed overhead that
-//! made small multi-threaded probe plans *slower* than running inline. This
-//! module replaces it with a [`WorkerPool`] that keeps its workers alive
-//! across sweeps:
+//! [`WorkerPool::sweep`] is the only sweep driver: per job it builds the
+//! job-wide leaf-value tables into **caller-owned** [`SweepTables`], cuts the
+//! probes into tiles, and runs the tiles — on the calling thread when
+//! `threads <= 1` (no tile vector, no locks, no allocation once the tables
+//! and the thread's scratch have grown), across the pool's workers
+//! otherwise. Cancellation and fault hooks are honoured at every tile on
+//! both branches. The pool keeps its workers alive across sweeps:
 //!
-//! * **pinned scratch** — each worker owns one [`WorkerScratch`] (a
-//!   [`BatchEvaluator`] plus a [`MaxProductEvaluator`]) for its whole
-//!   lifetime, so steady-state sweeps allocate nothing. The submitting
-//!   thread participates too, with a thread-local scratch of its own.
+//! * **pinned scratch** — each worker owns one [`WorkerScratch`] (a sweep
+//!   scratch per semiring) for its whole lifetime, so steady-state sweeps
+//!   allocate nothing. The submitting thread participates too, with a
+//!   thread-local scratch of its own.
 //! * **atomic tile cursor** — tiles are claimed by `fetch_add` on a shared
 //!   counter instead of popping a locked stack; claiming a tile is one
 //!   uncontended atomic op.
@@ -24,14 +27,10 @@
 //! the job still drains, and the payload is rethrown on the submitting
 //! thread.
 //!
-//! Determinism is unchanged from the scoped-thread implementation: a tile's
-//! result depends only on its own probes and its own scratch, never on which
-//! worker ran it or in what order, so every thread count (including the
-//! inline `threads <= 1` path) produces bitwise-identical results.
-//!
-//! One process-wide pool ([`WorkerPool::global`]) serves the free
-//! [`sweep_models`] function; embedders that want isolation (e.g. one pool
-//! per `Ensemble`) construct their own with [`WorkerPool::new`].
+//! Determinism: a tile's result depends only on its own probes and its own
+//! scratch, never on which worker ran it or in what order, so every thread
+//! count (including the inline `threads <= 1` branch) produces
+//! bitwise-identical results.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -41,9 +40,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::arena::{ActiveSet, CompiledSpn};
-use crate::batch::{BatchEvaluator, SWEEP_TILE};
-use crate::kernel::{Expectation, LeafValueTable, MaxProduct};
-use crate::maxprod::{MaxProductEvaluator, MpeOutcome, MpeProbe};
+use crate::batch::SWEEP_TILE;
+use crate::kernel::{Expectation, LeafValueTable, MaxProduct, SweepScratch};
+use crate::maxprod::{MpeOutcome, MpeProbe};
 use crate::SpnQuery;
 
 /// Upper bound on pool workers — a backstop against pathological `threads`
@@ -67,7 +66,7 @@ pub fn default_threads() -> usize {
 /// Cooperative cancellation for an in-flight sweep, shared between the
 /// submitter (who owns the flag) and every thread draining its tiles.
 ///
-/// Workers check the flag each time they claim a tile off the cursor
+/// Every thread checks the flag before each tile it runs
 /// ([`WorkerScratch::run`]); once it reads cancelled, remaining tiles are
 /// *skipped*, leaving their outputs at the zeroed placeholder. The sweep
 /// still drains and joins normally — cancellation never tears the pool —
@@ -132,6 +131,18 @@ pub enum TileFault {
 /// the serving chaos harness; production sweeps leave it unset.
 pub type TileFaultFn<'a> = dyn Fn() -> Option<TileFault> + Sync + 'a;
 
+/// Caller-owned leaf-value tables of one [`SweepJob`], one per probe kind.
+/// [`WorkerPool::sweep`] rebuilds them in place on every sweep and the
+/// job's tiles only gather from them; they are grow-only and recycle what a
+/// smaller batch leaves unused, so a caller that keeps one per model
+/// (`deepdb-core` does, per thread) sweeps without allocating once they
+/// have seen its probe layouts.
+#[derive(Debug, Default)]
+pub struct SweepTables {
+    expect: LeafValueTable,
+    mpe: LeafValueTable,
+}
+
 /// One model's share of a fused multi-model sweep: an expectation-probe
 /// batch **and** a max-product probe batch against one compiled arena, each
 /// with a caller-owned output slice of the same length. Both batches belong
@@ -144,7 +155,9 @@ pub struct SweepJob<'a> {
     /// Max-product probes riding the same sweep (classification / MPE).
     pub mpe: &'a [MpeProbe],
     pub mpe_out: &'a mut [MpeOutcome],
-    /// Cooperative cancel flag checked at every tile claim; cancelled tiles
+    /// Scratch the job's leaf-value tables are built into.
+    pub tables: &'a mut SweepTables,
+    /// Cooperative cancel flag checked before every tile; cancelled tiles
     /// are skipped (outputs keep their zeroed placeholder), so the caller
     /// must check the flag before trusting `out`/`mpe_out`.
     pub cancel: Option<&'a CancelFlag>,
@@ -159,16 +172,71 @@ pub struct SweepJob<'a> {
 
 impl<'a> SweepJob<'a> {
     /// Expectation-only job (the common AQP/cardinality shape).
-    pub fn expect(spn: &'a CompiledSpn, queries: &'a [SpnQuery], out: &'a mut [f64]) -> Self {
+    pub fn expect(
+        spn: &'a CompiledSpn,
+        queries: &'a [SpnQuery],
+        out: &'a mut [f64],
+        tables: &'a mut SweepTables,
+    ) -> Self {
         Self {
             spn,
             queries,
             out,
             mpe: &[],
             mpe_out: &mut [],
+            tables,
             cancel: None,
             fault: None,
             active: None,
+        }
+    }
+
+    /// Build the job-wide leaf-value tables — every (leaf, distinct slot)
+    /// pair is evaluated exactly once per job, on the submitting thread —
+    /// then cut both probe batches into independent tiles, handing each to
+    /// `emit` in probe order. Advances the model's sweep counter once when
+    /// any probe is present.
+    fn into_tiles(self, mut emit: impl FnMut(Tile<'a>)) {
+        let SweepJob {
+            spn,
+            queries,
+            out,
+            mpe,
+            mpe_out,
+            tables,
+            cancel,
+            fault,
+            active,
+        } = self;
+        assert_eq!(queries.len(), out.len(), "sweep job arity mismatch");
+        assert_eq!(mpe.len(), mpe_out.len(), "sweep job MPE arity mismatch");
+        if queries.is_empty() && mpe.is_empty() {
+            return;
+        }
+        if !queries.is_empty() {
+            tables.expect.build::<Expectation>(spn, queries);
+        }
+        if !mpe.is_empty() {
+            tables.mpe.build::<MaxProduct>(spn, mpe);
+        }
+        let tables: &'a SweepTables = tables;
+        // Both probe kinds of one job are one fused sweep of the model.
+        spn.note_sweep();
+        let tile = |kind| Tile {
+            kind,
+            cancel,
+            fault,
+            active,
+        };
+        let mut base = 0;
+        for (q, o) in queries.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
+            emit(tile(TileKind::Expect(spn, q, o, &tables.expect, base)));
+            base += q.len();
+        }
+        let mut base = 0;
+        for (p, o) in mpe.chunks(SWEEP_TILE).zip(mpe_out.chunks_mut(SWEEP_TILE)) {
+            emit(tile(TileKind::Mpe(spn, p, o, &tables.mpe, base)));
+            base += p.len();
         }
     }
 }
@@ -207,8 +275,8 @@ enum TileKind<'a> {
 /// steady state.
 #[derive(Default)]
 struct WorkerScratch {
-    expect: BatchEvaluator,
-    maxprod: MaxProductEvaluator,
+    expect: SweepScratch,
+    maxprod: SweepScratch,
 }
 
 impl WorkerScratch {
@@ -229,14 +297,26 @@ impl WorkerScratch {
             return;
         }
         match &mut tile.kind {
-            TileKind::Expect(spn, queries, out, table, base) => {
-                self.expect
-                    .evaluate_chunk_shared(spn, queries, table, *base, out, tile.active)
-            }
-            TileKind::Mpe(spn, probes, out, table, base) => {
-                self.maxprod
-                    .evaluate_chunk_shared(spn, probes, table, *base, out, tile.active)
-            }
+            TileKind::Expect(spn, queries, out, table, base) => crate::batch::chunk(
+                &mut self.expect,
+                table,
+                spn,
+                queries,
+                *base,
+                out,
+                true,
+                tile.active,
+            ),
+            TileKind::Mpe(spn, probes, out, table, base) => crate::maxprod::chunk(
+                &mut self.maxprod,
+                table,
+                spn,
+                probes,
+                *base,
+                out,
+                true,
+                tile.active,
+            ),
         }
     }
 }
@@ -299,8 +379,7 @@ impl TilePtr {
 
 /// A persistent sweep worker pool. Workers are spawned lazily on first
 /// parallel use (up to the requested thread count), park between jobs, and
-/// live until the pool is dropped. Dropping the pool (or process exit for
-/// [`WorkerPool::global`]) shuts the workers down.
+/// live until the pool is dropped. Dropping the pool shuts the workers down.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -345,105 +424,41 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool behind [`sweep_models`].
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(WorkerPool::new)
-    }
-
-    /// Execute one fused sweep per job, the tiles of **all** jobs
-    /// load-balanced across up to `threads` threads (the submitting thread
-    /// included). `threads == 0` means [`default_threads`]. Results are
-    /// bitwise identical for every thread count.
-    pub fn sweep(&self, jobs: Vec<SweepJob<'_>>, threads: usize) {
+    /// Execute one fused sweep per job — the single sweep routine. With
+    /// `threads <= 1` every job's tiles run on the calling thread as they
+    /// are cut; otherwise the tiles of **all** jobs are load-balanced across
+    /// up to `threads` threads (the submitting thread included).
+    /// `threads == 0` means [`default_threads`]. Results are bitwise
+    /// identical for every thread count.
+    pub fn sweep<'a>(&self, jobs: impl IntoIterator<Item = SweepJob<'a>>, threads: usize) {
         let threads = if threads == 0 {
             default_threads()
         } else {
             threads
         };
-        // Build one job-wide leaf-value table per probe kind per job on the
-        // submitting thread: every (leaf, distinct slot) pair is evaluated
-        // exactly once per job, and the tiles below only gather from it.
-        let mut tables: Vec<(LeafValueTable, LeafValueTable)> = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            let mut t = (LeafValueTable::default(), LeafValueTable::default());
-            if !job.queries.is_empty() {
-                t.0.build::<Expectation>(job.spn, job.queries);
-            }
-            if !job.mpe.is_empty() {
-                t.1.build::<MaxProduct>(job.spn, job.mpe);
-            }
-            tables.push(t);
+        if threads <= 1 {
+            SUBMITTER_SCRATCH.with(|s| {
+                let scratch = &mut *s.borrow_mut();
+                for job in jobs {
+                    job.into_tiles(|mut tile| scratch.run(&mut tile));
+                }
+            });
+            return;
         }
-        // Split every job into independent per-kind tiles.
-        let mut tiles: Vec<Tile<'_>> = Vec::new();
-        for (job, tabs) in jobs.into_iter().zip(&tables) {
-            let SweepJob {
-                spn,
-                mut queries,
-                mut out,
-                mut mpe,
-                mut mpe_out,
-                cancel,
-                fault,
-                active,
-            } = job;
-            assert_eq!(queries.len(), out.len(), "sweep job arity mismatch");
-            assert_eq!(mpe.len(), mpe_out.len(), "sweep job MPE arity mismatch");
-            if queries.is_empty() && mpe.is_empty() {
-                continue;
-            }
-            // Both probe kinds of one job are one fused sweep of the model.
-            spn.note_sweep();
-            let mut base = 0;
-            while !queries.is_empty() {
-                let k = queries.len().min(SWEEP_TILE);
-                let (q_head, q_tail) = queries.split_at(k);
-                let (o_head, o_tail) = std::mem::take(&mut out).split_at_mut(k);
-                tiles.push(Tile {
-                    kind: TileKind::Expect(spn, q_head, o_head, &tabs.0, base),
-                    cancel,
-                    fault,
-                    active,
-                });
-                queries = q_tail;
-                out = o_tail;
-                base += k;
-            }
-            let mut base = 0;
-            while !mpe.is_empty() {
-                let k = mpe.len().min(SWEEP_TILE);
-                let (p_head, p_tail) = mpe.split_at(k);
-                let (o_head, o_tail) = std::mem::take(&mut mpe_out).split_at_mut(k);
-                tiles.push(Tile {
-                    kind: TileKind::Mpe(spn, p_head, o_head, &tabs.1, base),
-                    cancel,
-                    fault,
-                    active,
-                });
-                mpe = p_tail;
-                mpe_out = o_tail;
-                base += k;
-            }
+        let mut tiles: Vec<Tile<'a>> = Vec::new();
+        for job in jobs {
+            job.into_tiles(|tile| tiles.push(tile));
         }
-        self.run_tiles(&mut tiles, threads);
+        if !tiles.is_empty() {
+            self.run_tiles(&mut tiles, threads);
+        }
     }
 
     /// Drain `tiles` across the submitting thread plus up to `threads - 1`
     /// pool workers.
     fn run_tiles(&self, tiles: &mut [Tile<'_>], threads: usize) {
         let n = tiles.len();
-        let helpers = threads.clamp(1, MAX_WORKERS).min(n.max(1)) - 1;
-        if helpers == 0 {
-            // Inline path: no handoff, no locks; same per-tile arithmetic.
-            SUBMITTER_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                for tile in tiles.iter_mut() {
-                    scratch.run(tile);
-                }
-            });
-            return;
-        }
+        let helpers = threads.min(MAX_WORKERS).min(n) - 1;
 
         let _submit = self.submit.lock().unwrap_or_else(PoisonError::into_inner);
         self.ensure_workers(helpers);
@@ -580,86 +595,6 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Execute one fused sweep per job on the process-wide [`WorkerPool`], the
-/// tiles of **all** jobs load-balanced across up to `threads` threads
-/// (`0` = [`default_threads`]). Each participating thread owns pinned
-/// evaluator scratch, so evaluation only needs `&CompiledSpn`.
-///
-/// Results are bitwise identical for every thread count (including the
-/// inline `threads <= 1` path): a query's value depends only on its own
-/// normalized slots and its own scratch column, never on tile-mates or
-/// scheduling order, and each tile writes a disjoint output range.
-pub fn sweep_models(jobs: Vec<SweepJob<'_>>, threads: usize) {
-    WorkerPool::global().sweep(jobs, threads)
-}
-
-/// Allocation-free single-threaded fused sweep for prepared queries.
-///
-/// [`WorkerPool::sweep`] builds fresh per-job leaf-value tables and a tile
-/// vector on every call — fine for ad-hoc plans, but a prepared query that
-/// executes thousands of times wants a **zero-allocation** steady state.
-/// `InlineSweep` owns both job-wide tables (grow-only, reassigned in place
-/// per sweep) and drives the tiles inline on the calling thread with its
-/// thread-local pinned scratch. The per-tile arithmetic is the same
-/// [`crate::BatchEvaluator`] chunk path every other sweep runs, so results
-/// are bitwise identical to pooled and ad-hoc execution.
-#[derive(Debug, Clone, Default)]
-pub struct InlineSweep {
-    expect_table: LeafValueTable,
-    mpe_table: LeafValueTable,
-}
-
-impl InlineSweep {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One fused sweep of one model: expectation probes and max-product
-    /// probes (either batch may be empty), outputs written in probe order.
-    /// `active` prunes every tile of the sweep to the job's active sub-DAG
-    /// (same contract as [`SweepJob::active`]). Advances the model's sweep
-    /// counter once when any probe ran.
-    pub fn sweep(
-        &mut self,
-        spn: &CompiledSpn,
-        queries: &[SpnQuery],
-        out: &mut [f64],
-        mpe: &[MpeProbe],
-        mpe_out: &mut [MpeOutcome],
-        active: Option<&ActiveSet>,
-    ) {
-        assert_eq!(queries.len(), out.len(), "sweep job arity mismatch");
-        assert_eq!(mpe.len(), mpe_out.len(), "sweep job MPE arity mismatch");
-        if queries.is_empty() && mpe.is_empty() {
-            return;
-        }
-        if !queries.is_empty() {
-            self.expect_table.build::<Expectation>(spn, queries);
-        }
-        if !mpe.is_empty() {
-            self.mpe_table.build::<MaxProduct>(spn, mpe);
-        }
-        spn.note_sweep();
-        SUBMITTER_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            let mut base = 0;
-            for (q, o) in queries.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
-                scratch
-                    .expect
-                    .evaluate_chunk_shared(spn, q, &self.expect_table, base, o, active);
-                base += q.len();
-            }
-            let mut base = 0;
-            for (p, o) in mpe.chunks(SWEEP_TILE).zip(mpe_out.chunks_mut(SWEEP_TILE)) {
-                scratch
-                    .maxprod
-                    .evaluate_chunk_shared(spn, p, &self.mpe_table, base, o, active);
-                base += p.len();
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,6 +609,22 @@ mod tests {
         Spn::learn(DataView::new(&cols, &meta), &SpnParams::default())
     }
 
+    /// A hook-free expectation sweep with fresh tables.
+    fn clean_sweep(
+        pool: &WorkerPool,
+        compiled: &CompiledSpn,
+        queries: &[SpnQuery],
+        threads: usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0; queries.len()];
+        let mut tables = SweepTables::default();
+        pool.sweep(
+            [SweepJob::expect(compiled, queries, &mut out, &mut tables)],
+            threads,
+        );
+        out
+    }
+
     #[test]
     fn pool_reuses_workers_across_sweeps() {
         let spn = model();
@@ -682,11 +633,13 @@ mod tests {
             .map(|i| SpnQuery::new(2).with_pred(1, LeafPred::ge((i % 5) as f64 * 10.0)))
             .collect();
         let pool = WorkerPool::new();
-        let mut want = vec![0.0; queries.len()];
-        pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut want)], 1);
+        let want = clean_sweep(&pool, &compiled, &queries, 1);
+        assert!(
+            pool.workers.lock().unwrap().is_empty(),
+            "the inline branch spawns nothing"
+        );
         for round in 0..3 {
-            let mut got = vec![0.0; queries.len()];
-            pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut got)], 4);
+            let got = clean_sweep(&pool, &compiled, &queries, 4);
             assert_eq!(got, want, "round {round}");
         }
         // Lazy spawn: parallel sweeps grew the pool, but only to helpers-1.
@@ -702,12 +655,45 @@ mod tests {
         let spn = model();
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = (0..3 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
-        let mut want = vec![0.0; queries.len()];
-        sweep_models(vec![SweepJob::expect(&compiled, &queries, &mut want)], 1);
-        let mut got = vec![0.0; queries.len()];
-        sweep_models(vec![SweepJob::expect(&compiled, &queries, &mut got)], 0);
+        let pool = WorkerPool::new();
+        let want = clean_sweep(&pool, &compiled, &queries, 1);
+        let got = clean_sweep(&pool, &compiled, &queries, 0);
         assert_eq!(got, want);
         assert!(default_threads() >= 1 && default_threads() <= 16);
+    }
+
+    /// Caller-owned tables are rebuilt per sweep: one pair serves jobs of
+    /// different models, batch sizes, probe layouts (slots that empty, fill
+    /// with value sets, and empty again recycle their buffers) and thread
+    /// counts in any order, and a one-tile job submitted with `threads > 1`
+    /// still completes.
+    #[test]
+    fn caller_owned_tables_are_reusable_across_jobs_and_models() {
+        let spn_a = model();
+        let cols = vec![vec![5.0, 6.0, 7.0, 5.0], vec![1.0, 1.0, 2.0, 2.0]];
+        let meta = vec![ColumnMeta::discrete("x"), ColumnMeta::discrete("y")];
+        let spn_b = Spn::learn(DataView::new(&cols, &meta), &SpnParams::default());
+        let (ca, cb) = (spn_a.compile(), spn_b.compile());
+        let pool = WorkerPool::new();
+        let mut tables = SweepTables::default();
+        for (n, threads) in [(70, 1), (3, 4), (2 * SWEEP_TILE + 1, 2), (1, 1)] {
+            for (compiled, lit) in [(&ca, 20.0), (&cb, 1.0)] {
+                let queries: Vec<SpnQuery> = (0..n)
+                    .map(|i| match (i + n) % 3 {
+                        0 => SpnQuery::new(2).with_pred(1, LeafPred::ge(lit + i as f64)),
+                        1 => SpnQuery::new(2).with_pred(0, LeafPred::In(vec![lit, 5.0, 0.0])),
+                        _ => SpnQuery::new(2),
+                    })
+                    .collect();
+                let want = clean_sweep(&pool, compiled, &queries, 1);
+                let mut got = vec![0.0; n];
+                pool.sweep(
+                    [SweepJob::expect(compiled, &queries, &mut got, &mut tables)],
+                    threads,
+                );
+                assert_eq!(got, want, "{n} probes, {threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -726,12 +712,13 @@ mod tests {
                 let mut out = vec![MpeOutcome::default(); bad.len()];
                 catch_unwind(AssertUnwindSafe(|| {
                     pool.sweep(
-                        vec![SweepJob {
+                        [SweepJob {
                             spn: &compiled,
                             queries: &[],
                             out: &mut [],
                             mpe: &bad,
                             mpe_out: &mut out,
+                            tables: &mut SweepTables::default(),
                             cancel: None,
                             fault: None,
                             active: None,
@@ -747,8 +734,7 @@ mod tests {
         assert!(panicked, "target-out-of-range must propagate");
         // The pool still runs clean jobs afterwards.
         let queries: Vec<SpnQuery> = (0..2 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
-        let mut out = vec![0.0; queries.len()];
-        pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut out)], 4);
+        let out = clean_sweep(&pool, &compiled, &queries, 4);
         assert!(out.iter().all(|&v| (v - 1.0).abs() < 1e-12));
     }
 
@@ -757,6 +743,7 @@ mod tests {
         compiled: &'a CompiledSpn,
         queries: &'a [SpnQuery],
         out: &'a mut [f64],
+        tables: &'a mut SweepTables,
         cancel: Option<&'a CancelFlag>,
         fault: Option<&'a TileFaultFn<'a>>,
     ) -> SweepJob<'a> {
@@ -766,12 +753,15 @@ mod tests {
             out,
             mpe: &[],
             mpe_out: &mut [],
+            tables,
             cancel,
             fault,
             active: None,
         }
     }
 
+    /// Hooks fire on the inline branch (`threads == 1`) exactly as they do
+    /// across the pool.
     #[test]
     fn repeated_injected_panics_never_poison_later_sweeps() {
         let spn = model();
@@ -780,30 +770,48 @@ mod tests {
             .map(|i| SpnQuery::new(2).with_pred(1, LeafPred::ge((i % 5) as f64 * 10.0)))
             .collect();
         let pool = WorkerPool::new();
-        let mut want = vec![0.0; queries.len()];
-        pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut want)], 1);
+        let want = clean_sweep(&pool, &compiled, &queries, 1);
+        let mut tables = SweepTables::default();
 
-        for round in 0..5 {
-            // Panic on every third claimed tile, from whichever thread
-            // claims it (submitter included).
-            let hits = AtomicUsize::new(0);
-            let fault = move || {
-                if hits.fetch_add(1, Ordering::Relaxed).is_multiple_of(3) {
-                    Some(TileFault::Panic)
-                } else {
-                    None
+        for threads in [1, 4] {
+            for round in 0..5 {
+                // Panic on every third claimed tile, from whichever thread
+                // claims it (submitter included).
+                let hits = AtomicUsize::new(0);
+                let fault = move || {
+                    if hits.fetch_add(1, Ordering::Relaxed).is_multiple_of(3) {
+                        Some(TileFault::Panic)
+                    } else {
+                        None
+                    }
+                };
+                let mut out = vec![0.0; queries.len()];
+                let job = hooked_job(
+                    &compiled,
+                    &queries,
+                    &mut out,
+                    &mut tables,
+                    None,
+                    Some(&fault),
+                );
+                let panicked =
+                    catch_unwind(AssertUnwindSafe(|| pool.sweep([job], threads))).is_err();
+                assert!(panicked, "round {round}: injected tile panic must surface");
+
+                // The very next sweep — same pool, same tables — must be
+                // bitwise clean.
+                let mut got = vec![0.0; queries.len()];
+                pool.sweep(
+                    [SweepJob::expect(&compiled, &queries, &mut got, &mut tables)],
+                    threads,
+                );
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{threads} threads, round {round}, probe {i}"
+                    );
                 }
-            };
-            let mut out = vec![0.0; queries.len()];
-            let job = hooked_job(&compiled, &queries, &mut out, None, Some(&fault));
-            let panicked = catch_unwind(AssertUnwindSafe(|| pool.sweep(vec![job], 4))).is_err();
-            assert!(panicked, "round {round}: injected tile panic must surface");
-
-            // The very next sweep on the same pool must be bitwise clean.
-            let mut got = vec![0.0; queries.len()];
-            pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut got)], 4);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "round {round}, probe {i}");
             }
         }
     }
@@ -818,18 +826,27 @@ mod tests {
         let pool = WorkerPool::new();
         let flag = CancelFlag::new();
         flag.cancel();
-        let mut out = vec![0.0; queries.len()];
-        let job = hooked_job(&compiled, &queries, &mut out, Some(&flag), None);
-        pool.sweep(vec![job], 4); // must not hang or panic
-        assert!(flag.is_cancelled());
-        assert!(
-            out.iter().all(|&v| v == 0.0),
-            "cancelled tiles must be skipped"
-        );
-        // The pool still answers correctly afterwards.
-        let mut got = vec![0.0; queries.len()];
-        pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut got)], 4);
-        assert!(got.iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        for threads in [1, 4] {
+            let mut out = vec![0.0; queries.len()];
+            let mut tables = SweepTables::default();
+            let job = hooked_job(
+                &compiled,
+                &queries,
+                &mut out,
+                &mut tables,
+                Some(&flag),
+                None,
+            );
+            pool.sweep([job], threads); // must not hang or panic
+            assert!(flag.is_cancelled());
+            assert!(
+                out.iter().all(|&v| v == 0.0),
+                "cancelled tiles must be skipped ({threads} threads)"
+            );
+            // The pool still answers correctly afterwards.
+            let got = clean_sweep(&pool, &compiled, &queries, threads);
+            assert!(got.iter().all(|&v| (v - 1.0).abs() < 1e-12));
+        }
     }
 
     #[test]
@@ -838,14 +855,24 @@ mod tests {
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = (0..4 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
         let pool = WorkerPool::new();
-        // Every tile sleeps 5ms; the deadline passes after ~1ms, so the
-        // flag latches partway through and the sweep still completes.
-        let fault = || Some(TileFault::Delay(Duration::from_millis(5)));
-        let flag = CancelFlag::with_deadline(Instant::now() + Duration::from_millis(1));
-        let mut out = vec![0.0; queries.len()];
-        let job = hooked_job(&compiled, &queries, &mut out, Some(&flag), Some(&fault));
-        pool.sweep(vec![job], 2);
-        assert!(flag.is_cancelled(), "deadline expiry must latch the flag");
+        for threads in [1, 2] {
+            // Every tile sleeps 5ms; the deadline passes after ~1ms, so the
+            // flag latches partway through and the sweep still completes.
+            let fault = || Some(TileFault::Delay(Duration::from_millis(5)));
+            let flag = CancelFlag::with_deadline(Instant::now() + Duration::from_millis(1));
+            let mut out = vec![0.0; queries.len()];
+            let mut tables = SweepTables::default();
+            let job = hooked_job(
+                &compiled,
+                &queries,
+                &mut out,
+                &mut tables,
+                Some(&flag),
+                Some(&fault),
+            );
+            pool.sweep([job], threads);
+            assert!(flag.is_cancelled(), "deadline expiry must latch the flag");
+        }
     }
 
     #[test]
@@ -856,8 +883,16 @@ mod tests {
         let pool = WorkerPool::new();
         let fault = || Some(TileFault::Panic);
         let mut out = vec![0.0; queries.len()];
-        let job = hooked_job(&compiled, &queries, &mut out, None, Some(&fault));
-        let panicked = catch_unwind(AssertUnwindSafe(|| pool.sweep(vec![job], 4))).is_err();
+        let mut tables = SweepTables::default();
+        let job = hooked_job(
+            &compiled,
+            &queries,
+            &mut out,
+            &mut tables,
+            None,
+            Some(&fault),
+        );
+        let panicked = catch_unwind(AssertUnwindSafe(|| pool.sweep([job], 4))).is_err();
         assert!(panicked);
         drop(pool); // must join every worker despite the mid-panic state
     }
@@ -867,9 +902,8 @@ mod tests {
         let spn = model();
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = (0..2 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
-        let mut out = vec![0.0; queries.len()];
         let pool = WorkerPool::new();
-        pool.sweep(vec![SweepJob::expect(&compiled, &queries, &mut out)], 2);
+        clean_sweep(&pool, &compiled, &queries, 2);
         drop(pool); // must not hang or leak threads
     }
 }

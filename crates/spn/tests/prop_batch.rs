@@ -88,7 +88,7 @@ proptest! {
         let mut spn = learn(&rows);
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
-        let got = BatchEvaluator::new().evaluate(&compiled, &queries);
+        let got = BatchEvaluator::new().evaluate(&compiled, &queries, None);
         prop_assert_eq!(got.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
@@ -126,7 +126,7 @@ proptest! {
         for n in [1usize, 3, 4, 31, 32, 33, 65] {
             let queries: Vec<SpnQuery> =
                 (0..n).map(|i| pool[i % pool.len()].clone()).collect();
-            let simd = ev.evaluate(&compiled, &queries);
+            let simd = ev.evaluate(&compiled, &queries, None);
             let scalar = ev.evaluate_scalar(&compiled, &queries);
             let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
             let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
@@ -162,7 +162,7 @@ proptest! {
                 .with_pred(0, LeafPred::eq(probe as f64))
                 .with_pred(2, LeafPred::IsNull),
         ];
-        let got = BatchEvaluator::new().evaluate(&compiled, &queries);
+        let got = BatchEvaluator::new().evaluate(&compiled, &queries, None);
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
             prop_assert!(
@@ -185,7 +185,7 @@ proptest! {
         }
         let compiled = spn.compile();
         let q = SpnQuery::new(3).with_pred(0, LeafPred::eq(probe as f64));
-        let got = BatchEvaluator::new().evaluate(&compiled, std::slice::from_ref(&q))[0];
+        let got = BatchEvaluator::new().evaluate(&compiled, std::slice::from_ref(&q), None)[0];
         let want = spn.evaluate(&q);
         prop_assert!((got - want).abs() < 1e-12, "{got} vs {want}");
     }
@@ -211,7 +211,7 @@ proptest! {
         }
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
         let mut ev = BatchEvaluator::new();
-        let simd = ev.evaluate(&arena, &queries);
+        let simd = ev.evaluate(&arena, &queries, None);
         let scalar = ev.evaluate_scalar(&arena, &queries);
         for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(s.to_bits(), c.to_bits(), "query {}: simd vs scalar", i);

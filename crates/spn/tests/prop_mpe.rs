@@ -75,7 +75,7 @@ proptest! {
             .iter()
             .map(|(target, specs)| MpeProbe::new(*target, build_evidence(specs)))
             .collect();
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
         prop_assert_eq!(got.len(), probes.len());
         for (i, p) in probes.iter().enumerate() {
             let (want_score, want_value) = spn.mpe_outcome(p.target, &p.query);
@@ -125,7 +125,7 @@ proptest! {
             // NULL evidence on the nullable column.
             MpeProbe::new(target, SpnQuery::new(3).with_pred(2, LeafPred::IsNull)),
         ];
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
         for (i, p) in probes.iter().enumerate() {
             let (want_score, want_value) = spn.mpe_outcome(p.target, &p.query);
             prop_assert_eq!(got[i].value, want_value, "probe {}", i);
@@ -151,7 +151,7 @@ proptest! {
         }
         let q = SpnQuery::new(3).with_pred((target + 1) % 3, LeafPred::ge(1.0));
         let got = MaxProductEvaluator::new()
-            .evaluate(&arena, &[MpeProbe::new(target, q.clone())])[0];
+            .evaluate(&arena, &[MpeProbe::new(target, q.clone())], None)[0];
         let (want_score, want_value) = spn.mpe_outcome(target, &q);
         prop_assert_eq!(got.value, want_value);
         prop_assert_eq!(got.score.to_bits(), want_score.to_bits());
@@ -163,7 +163,7 @@ proptest! {
                 SpnQuery::new(3).with_pred((target + i + 1) % 3, LeafPred::ge((i % 4) as f64)),
             ))
             .collect();
-        let simd = MaxProductEvaluator::new().evaluate(&arena, &probes);
+        let simd = MaxProductEvaluator::new().evaluate(&arena, &probes, None);
         let scalar = MaxProductEvaluator::new().evaluate_scalar(&arena, &probes);
         for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(s.value, c.value, "probe {}: simd vs scalar value", i);

@@ -4,11 +4,11 @@
 //! full-arena sweep — for both the (+,×) expectation semiring and the
 //! (max,×) max-product semiring, including NULL predicates, in-place
 //! patched-update streams, superset active columns, and every thread/tile
-//! shape the worker pool and inline sweeps dispatch.
+//! shape the sweep routine dispatches, inline or across the pool.
 
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, DataView, InlineSweep, LeafFunc, LeafPred, MaxProductEvaluator,
-    MpeOutcome, MpeProbe, Spn, SpnParams, SpnQuery, SweepJob, WorkerPool, SWEEP_TILE,
+    BatchEvaluator, ColumnMeta, DataView, LeafFunc, LeafPred, MaxProductEvaluator, MpeOutcome,
+    MpeProbe, Spn, SpnParams, SpnQuery, SweepJob, SweepTables, WorkerPool, SWEEP_TILE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -127,10 +127,10 @@ proptest! {
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
         let mut ev = BatchEvaluator::new();
-        let full = ev.evaluate(&compiled, &queries);
+        let full = ev.evaluate(&compiled, &queries, None);
 
         let exact = compiled.active_set(&cover(&queries, &[]));
-        let pruned = ev.evaluate_pruned(&compiled, &queries, &exact);
+        let pruned = ev.evaluate(&compiled, &queries, Some(&exact));
         for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
             prop_assert_eq!(p.to_bits(), f.to_bits(), "query {}: pruned {} vs full {}", i, p, f);
         }
@@ -139,7 +139,7 @@ proptest! {
         sup_cols.push(extra);
         let superset = compiled.active_set(&sup_cols);
         prop_assert!(superset.n_active() >= exact.n_active());
-        let sup = ev.evaluate_pruned(&compiled, &queries, &superset);
+        let sup = ev.evaluate(&compiled, &queries, Some(&superset));
         for (i, (p, f)) in sup.iter().zip(&full).enumerate() {
             prop_assert_eq!(p.to_bits(), f.to_bits(), "query {} (superset cover)", i);
         }
@@ -162,9 +162,9 @@ proptest! {
             .map(|(t, specs)| MpeProbe::new(*t, build_query(specs)))
             .collect();
         let mut ev = MaxProductEvaluator::new();
-        let full = ev.evaluate(&compiled, &probes);
+        let full = ev.evaluate(&compiled, &probes, None);
         let active = compiled.active_set(&cover(&[], &probes));
-        let pruned = ev.evaluate_pruned(&compiled, &probes, &active);
+        let pruned = ev.evaluate(&compiled, &probes, Some(&active));
         assert_mpe_bitwise(&pruned, &full);
     }
 
@@ -195,20 +195,21 @@ proptest! {
                 &mut arena,
                 &[x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }],
             );
-            let full = ev.evaluate(&arena, &queries);
-            let pruned = ev.evaluate_pruned(&arena, &queries, &active);
+            let full = ev.evaluate(&arena, &queries, None);
+            let pruned = ev.evaluate(&arena, &queries, Some(&active));
             for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
                 prop_assert_eq!(p.to_bits(), f.to_bits(), "query {} after patch", i);
             }
-            let full_mpe = mp.evaluate(&arena, &probes);
-            let pruned_mpe = mp.evaluate_pruned(&arena, &probes, &active);
+            let full_mpe = mp.evaluate(&arena, &probes, None);
+            let pruned_mpe = mp.evaluate(&arena, &probes, Some(&active));
             assert_mpe_bitwise(&pruned_mpe, &full_mpe);
         }
     }
 
     /// Pool and inline dispatch: a fused expectation+MPE sweep carrying
     /// `SweepJob::active` must reproduce the unpruned job bitwise across
-    /// thread counts and tile-straddling batch shapes.
+    /// thread counts (1 = the inline branch) and tile-straddling batch
+    /// shapes, with one caller-owned table pair reused by every sweep.
     #[test]
     fn pool_and_inline_pruned_sweeps_match_full(
         rows in prop::collection::vec((0i64..5, 0i64..30, 0i64..4), 30..150),
@@ -222,6 +223,7 @@ proptest! {
             .map(|s| build_query(std::slice::from_ref(s)))
             .collect();
         let pool = WorkerPool::new();
+        let mut tables = SweepTables::default();
         for n in [1usize, 3, SWEEP_TILE - 1, SWEEP_TILE, SWEEP_TILE + 1] {
             let queries: Vec<SpnQuery> =
                 (0..n).map(|i| pool_q[i % pool_q.len()].clone()).collect();
@@ -237,12 +239,13 @@ proptest! {
                 full.fill(0.0);
                 pruned.fill(0.0);
                 pool.sweep(
-                    vec![SweepJob {
+                    [SweepJob {
                         spn: &compiled,
                         queries: &queries,
                         out: &mut full,
                         mpe: &probes,
                         mpe_out: &mut full_mpe,
+                        tables: &mut tables,
                         cancel: None,
                         fault: None,
                         active: None,
@@ -250,12 +253,13 @@ proptest! {
                     threads,
                 );
                 pool.sweep(
-                    vec![SweepJob {
+                    [SweepJob {
                         spn: &compiled,
                         queries: &queries,
                         out: &mut pruned,
                         mpe: &probes,
                         mpe_out: &mut pruned_mpe,
+                        tables: &mut tables,
                         cancel: None,
                         fault: None,
                         active: Some(&active),
@@ -271,16 +275,22 @@ proptest! {
                 assert_mpe_bitwise(&pruned_mpe, &full_mpe);
             }
 
-            // Inline (pool-free) dispatch takes the same pruned path.
-            let mut inline = InlineSweep::new();
+            // Across branches: the inline pruned sweep reproduces the last
+            // (4-thread, pooled) full sweep.
             pruned.fill(0.0);
-            inline.sweep(
-                &compiled,
-                &queries,
-                &mut pruned,
-                &probes,
-                &mut pruned_mpe,
-                Some(&active),
+            pool.sweep(
+                [SweepJob {
+                    spn: &compiled,
+                    queries: &queries,
+                    out: &mut pruned,
+                    mpe: &probes,
+                    mpe_out: &mut pruned_mpe,
+                    tables: &mut tables,
+                    cancel: None,
+                    fault: None,
+                    active: Some(&active),
+                }],
+                1,
             );
             for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
                 prop_assert_eq!(p.to_bits(), f.to_bits(), "inline batch {}, query {}", n, i);
@@ -318,7 +328,7 @@ fn pruned_sweep_accounts_only_active_nodes() {
 
     let mut ev = BatchEvaluator::new();
     let before = compiled.nodes_swept();
-    let full = ev.evaluate(&compiled, &queries);
+    let full = ev.evaluate(&compiled, &queries, None);
     let full_delta = compiled.nodes_swept() - before;
     assert_eq!(
         full_delta,
@@ -327,7 +337,7 @@ fn pruned_sweep_accounts_only_active_nodes() {
     );
 
     let before = compiled.nodes_swept();
-    let pruned = ev.evaluate_pruned(&compiled, &queries, &active);
+    let pruned = ev.evaluate(&compiled, &queries, Some(&active));
     let pruned_delta = compiled.nodes_swept() - before;
     assert_eq!(
         pruned_delta,

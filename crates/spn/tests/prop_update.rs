@@ -69,8 +69,8 @@ fn assert_patch_equals_recompile(patched_arena: &CompiledSpn, baseline_tree: &Sp
     // Belt and braces: probe results agree bit for bit too.
     let mut ev = BatchEvaluator::new();
     let q = probes();
-    let got = ev.evaluate(patched_arena, &q);
-    let want = ev.evaluate(&recompiled, &q);
+    let got = ev.evaluate(patched_arena, &q, None);
+    let want = ev.evaluate(&recompiled, &q, None);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g.to_bits(), w.to_bits(), "probe {i} diverged: {g} vs {w}");
     }
