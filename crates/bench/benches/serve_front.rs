@@ -63,7 +63,7 @@ fn fixture() -> (Database, Ensemble) {
     (db, ens)
 }
 
-/// Same mixed-radix shape pool as the `plan_cache` bench: pairwise-distinct
+/// A mixed-radix shape pool: pairwise-distinct
 /// cache keys, literals varying with `i`.
 fn shape_query(i: usize) -> Query {
     let (cu, o) = (0usize, 1usize);

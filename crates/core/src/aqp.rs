@@ -21,7 +21,7 @@
 
 use deepdb_storage::{Aggregate, Database, Domain, Query, Value};
 
-use crate::compile::{estimate_count_values, resolve_scalar, value_predicate};
+use crate::compile::{estimate_count_values, resolve_scalar, value_predicate, ScalarTemplate};
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
 use crate::plan::ProbePlan;
@@ -118,7 +118,7 @@ pub fn execute_aqp(ens: &Ensemble, db: &Database, query: &Query) -> Result<AqpOu
     // appends its own value predicates to the cloned bases.
     let mut shared_q = query.clone();
     shared_q.group_by.clear();
-    let template = crate::cache::grouped_template(ens, db, &shared_q, &query.group_by)?;
+    let template = ScalarTemplate::prepare(ens, db, &shared_q, &query.group_by)?;
     let mut plan = ProbePlan::new();
     let mut pending = Vec::new();
     let mut combo = vec![0usize; group_domains.len()];
@@ -178,7 +178,7 @@ fn scalar_estimates(
 ) -> Result<(Estimate, Estimate), DeepDbError> {
     let mut scalar_q = query.clone();
     scalar_q.group_by.clear();
-    crate::cache::aqp_scalar(ens, db, &scalar_q)
+    crate::checkout::aqp_scalar(ens, db, &scalar_q)
 }
 
 /// Observed domain of a grouping column, from RSPN distinct-value tracking

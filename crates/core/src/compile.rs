@@ -56,7 +56,7 @@ pub fn estimate_count(
     query: &Query,
 ) -> Result<Estimate, DeepDbError> {
     query.validate(db)?;
-    crate::cache::scalar_estimate(ens, db, query, crate::cache::ArtifactKind::Count, &[])
+    crate::checkout::scalar_estimate(ens, db, query, crate::shape::ArtifactKind::Count, &[])
 }
 
 /// Cardinality estimate clamped to ≥ 1 tuple (q-error convention).
@@ -95,7 +95,7 @@ pub fn estimate_count_values(
     if let Some(v) = values.first() {
         selector_preds.push(eq_pred(v));
     }
-    let single = crate::cache::covering_member(ens, &qtables, &selector_preds).and_then(|idx| {
+    let single = best_covering_rspn(ens, &qtables, &selector_preds).and_then(|idx| {
         // The whole batch must translate against this one RSPN. The shared
         // predicates are translated once into a base query; each value only
         // appends its own equality predicate.
@@ -129,8 +129,7 @@ pub fn estimate_count_values(
     // one fused sweep per touched member for the whole batch.
     let mut count_q = query.clone();
     count_q.aggregate = Aggregate::CountStar;
-    let template =
-        crate::cache::grouped_template(ens, db, &count_q, std::slice::from_ref(&target))?;
+    let template = ScalarTemplate::prepare(ens, db, &count_q, std::slice::from_ref(&target))?;
     let mut plan = ProbePlan::new();
     let mut deferred = Vec::with_capacity(values.len());
     for v in values {
@@ -199,7 +198,7 @@ pub fn estimate_count_disjunction(
     // reference tables outside the FROM list), registration, and the signed
     // inclusion–exclusion resolution all live in the shared cache-routed
     // builder so repeated disjunction shapes reuse one plan artifact.
-    crate::cache::scalar_estimate(ens, db, query, crate::cache::ArtifactKind::Count, disjuncts)
+    crate::checkout::scalar_estimate(ens, db, query, crate::shape::ArtifactKind::Count, disjuncts)
 }
 
 /// Estimate `AVG(col)` with tuple-factor normalization (paper §4.2).
@@ -210,7 +209,7 @@ pub fn estimate_avg(ens: &Ensemble, db: &Database, query: &Query) -> Result<Esti
             "estimate_avg requires an AVG aggregate".into(),
         ));
     };
-    crate::cache::scalar_estimate(ens, db, query, crate::cache::ArtifactKind::Avg(target), &[])
+    crate::checkout::scalar_estimate(ens, db, query, crate::shape::ArtifactKind::Avg(target), &[])
 }
 
 /// Estimate `SUM(col)` = COUNT × AVG (paper §4.2). The COUNT probes (over
@@ -226,14 +225,14 @@ pub fn estimate_sum(ens: &Ensemble, db: &Database, query: &Query) -> Result<Esti
     };
     // The non-NULL COUNT restriction and the fused COUNT/AVG registration
     // live in the shared cache-routed builder.
-    crate::cache::scalar_estimate(ens, db, query, crate::cache::ArtifactKind::Sum(target), &[])
+    crate::checkout::scalar_estimate(ens, db, query, crate::shape::ArtifactKind::Sum(target), &[])
 }
 
 /// Pick the best RSPN whose tables cover all of `qtables` (greedy RDC
 /// strategy; smaller RSPNs win ties to avoid needless normalization, and
 /// among same-size candidates the lowest member index wins — selection is
 /// reproducible across runs).
-pub(crate) fn best_covering_rspn(
+fn best_covering_rspn(
     ens: &Ensemble,
     qtables: &BTreeSet<TableId>,
     preds: &[Predicate],

@@ -12,7 +12,8 @@ use deepdb_storage::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::{CacheStats, PlanCache, PreparedQuery, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::cache::{CacheStats, PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
+use crate::checkout::PreparedQuery;
 use crate::fd::FunctionalDependency;
 use crate::rspn::Rspn;
 use crate::DeepDbError;
@@ -447,8 +448,8 @@ impl Ensemble {
     /// **Epoch contract:** recompilation may change model structure, so this
     /// bumps the plan epoch — every cached plan artifact and outstanding
     /// [`crate::PreparedQuery`] becomes stale (the latter fail their next
-    /// `execute` with [`DeepDbError::StalePlan`]; cached artifacts simply
-    /// never hit again and age out of the LRU).
+    /// `execute` with [`DeepDbError::StalePlan`]; the cache drops every
+    /// artifact on its first access at the new epoch).
     pub fn recompile_models(&mut self) {
         for rspn in &mut self.rspns {
             rspn.ensure_compiled();
@@ -482,8 +483,9 @@ impl Ensemble {
     }
 
     /// Current plan-cache invalidation epoch. Bumped by
-    /// [`Ensemble::recompile_models`] and every update/maintenance call;
-    /// cache keys and [`crate::PreparedQuery`] handles embed it.
+    /// [`Ensemble::recompile_models`] and once per update/maintenance call;
+    /// the plan cache is stamped with it and [`crate::PreparedQuery`]
+    /// handles embed it.
     pub fn plan_epoch(&self) -> u64 {
         self.plan_epoch.load(Ordering::Acquire)
     }
@@ -523,9 +525,9 @@ impl Ensemble {
     /// literals: planning, translation, and literal-bind discovery happen
     /// once, then [`crate::PreparedQuery::execute`] rebinds literal slots in
     /// place and sweeps with zero planning work and zero steady-state
-    /// allocations. See the [`crate::cache`] module docs for the lifecycle.
+    /// allocations. See the `checkout` module docs for the lifecycle.
     pub fn prepare(&self, db: &Database, query: &Query) -> Result<PreparedQuery, DeepDbError> {
-        crate::cache::prepare(self, db, query)
+        crate::checkout::prepare(self, db, query)
     }
 
     /// Insert a row into the database **and** absorb it into every affected
@@ -550,20 +552,27 @@ impl Ensemble {
     /// the whole batch). Bookkeeping (PK/factor caches, |J| maintenance,
     /// sampling decisions) runs row by row in insertion order, so the result
     /// is bitwise identical to the same sequence of
-    /// [`Ensemble::apply_insert`] calls.
+    /// [`Ensemble::apply_insert`] calls. A malformed row ends the batch with
+    /// its error; the rows before it stay inserted and absorbed.
     pub fn apply_insert_batch(
         &mut self,
         db: &mut Database,
         table: TableId,
         rows: &[Vec<Value>],
     ) -> Result<(), DeepDbError> {
+        // One bump per call, up front: a batch that errors part-way has
+        // still changed the models.
+        self.bump_plan_epoch();
         let mut batches: Vec<Vec<Vec<f64>>> = vec![Vec::new(); self.rspns.len()];
-        for values in rows {
+        let outcome = rows.iter().try_for_each(|values| {
             db.table_mut(table).push_row(values)?;
-            self.bookkeep_insert(db, table, values, &mut batches)?;
-        }
+            self.bookkeep_insert(db, table, values, &mut batches);
+            Ok(())
+        });
+        // Also after a malformed row: the rows before it are in `db` and
+        // bookkept, so the models must see them.
         self.fan_insert_batches(batches);
-        Ok(())
+        outcome
     }
 
     /// Absorb an already-inserted row into the models. `db` must already
@@ -574,8 +583,9 @@ impl Ensemble {
         table: TableId,
         values: &[Value],
     ) -> Result<(), DeepDbError> {
+        self.bump_plan_epoch();
         let mut batches: Vec<Vec<Vec<f64>>> = vec![Vec::new(); self.rspns.len()];
-        self.bookkeep_insert(db, table, values, &mut batches)?;
+        self.bookkeep_insert(db, table, values, &mut batches);
         self.fan_insert_batches(batches);
         Ok(())
     }
@@ -599,10 +609,9 @@ impl Ensemble {
         table: TableId,
         values: &[Value],
         batches: &mut [Vec<Vec<f64>>],
-    ) -> Result<(), DeepDbError> {
+    ) {
         // (Index loop below: the body borrows `self` mutably for the RNG and
         // join-row assembly, so iterating `self.rspns` directly won't borrow.)
-        self.bump_plan_epoch();
         self.updates_absorbed += 1;
         self.row_counts[table] += 1;
         let new_row = db.table(table).n_rows() - 1;
@@ -681,7 +690,6 @@ impl Ensemble {
                 }
             }
         }
-        Ok(())
     }
 
     /// Delete a row (by id) from the database **and** the models.

@@ -25,8 +25,9 @@ use std::collections::HashMap;
 use deepdb_storage::optimizer::{CardinalityModel, JoinOrder, JoinOrderSpace};
 use deepdb_storage::{Database, PredOp, Query, TableId, Value};
 
-use crate::cache::{for_each_literal, PreparedQuery};
+use crate::checkout::PreparedQuery;
 use crate::ensemble::Ensemble;
+use crate::shape::for_each_literal;
 use crate::DeepDbError;
 
 /// Exact fixed-size encoding of a subset-query shape: the table subset plus
@@ -344,6 +345,6 @@ mod tests {
         subset_literals(&q, &[0, 1], &mut lits);
         assert_eq!(lits, vec![3.0, 7.0, 5.0, 2.0, 4.0]);
         // Matches the full-query canonical extractor on the full subset.
-        assert_eq!(lits, crate::cache::query_literals(&q));
+        assert_eq!(lits, crate::shape::query_literals(&q));
     }
 }

@@ -31,10 +31,11 @@
 //!   the same sweep — inline for a plan of one tile's worth of probes, with
 //!   the tiles of all members spread over the ensemble's persistent worker
 //!   pool otherwise.
-//! * [`cache`] — the plan cache and the one execute path: every scalar
-//!   query — one-shot, [`PreparedQuery`], served — checks a rebindable plan
-//!   and its scratch out of the shape's cache entry, runs it through the one
-//!   plan runner, resolves, and checks it back in.
+//! * [`cache`] — the plan cache (query shape → plan artifact, nothing else)
+//!   behind the one execute path: every scalar query — one-shot,
+//!   [`PreparedQuery`], served — checks a rebindable plan and its scratch
+//!   out of the shape's cache entry, runs it through the one plan runner,
+//!   resolves, and checks it back in.
 //! * [`Estimate`] — point estimates with variances propagated per §5.1,
 //!   yielding confidence intervals.
 //! * ML tasks (regression via conditional expectation, classification via
@@ -47,6 +48,7 @@
 
 mod aqp;
 pub mod cache;
+mod checkout;
 pub mod combine;
 pub mod compile;
 mod ensemble;
@@ -58,9 +60,11 @@ pub mod ml;
 mod plan;
 mod rspn;
 pub mod serve;
+mod shape;
 
 pub use aqp::{execute_aqp, AqpOutput, AqpResult};
-pub use cache::{query_literals, CacheStats, PreparedQuery};
+pub use cache::CacheStats;
+pub use checkout::PreparedQuery;
 pub use ensemble::{Ensemble, EnsembleBuilder, EnsembleParams, EnsembleStrategy};
 pub use error::DeepDbError;
 pub use estimate::Estimate;
@@ -69,3 +73,4 @@ pub use joinorder::JoinOrderer;
 pub use plan::{MpeHandle, ProbeHandle, ProbePlan, ProbeResults};
 pub use rspn::Rspn;
 pub use serve::{Fault, FaultPlan, FaultSite, ServeConfig, ServeFront, ServeStats};
+pub use shape::query_literals;

@@ -10,6 +10,8 @@
 //! [`predict_regression_batch`], the serving-traffic shape) costs exactly
 //! **one fused arena sweep per touched member**, fallback probes included.
 
+use std::collections::BTreeSet;
+
 use deepdb_spn::{LeafFunc, LeafPred};
 use deepdb_storage::{ColId, Database, TableId, Value};
 
@@ -57,13 +59,11 @@ pub fn predict_regression_batch<R: AsRef<[(ColId, Value)]>>(
     if rows.is_empty() {
         return Ok(Vec::new());
     }
-    // Member selection, target column, and the join-normalization factor
-    // columns (paper §4.2: per-`table`-row answers, not per-join-row) are a
-    // pure function of (table, target) — cached across batches.
-    let prelude = crate::cache::ml_prelude(ens, table, target, true)?;
-    let (idx, target_col) = (prelude.idx, prelude.target_col);
+    let (idx, target_col) = rspn_for(ens, table, target)?;
     let rspn = &ens.rspns()[idx];
-    let factors = &prelude.factors;
+    // Join-normalization factor columns (paper §4.2: per-`table`-row
+    // answers, not per-join-row).
+    let factors = rspn.normalization_factor_cols(&BTreeSet::from([table]));
 
     let mut plan = ProbePlan::new();
     let mut handles: Vec<(ProbeHandle, ProbeHandle)> = Vec::with_capacity(rows.len());
@@ -71,7 +71,7 @@ pub fn predict_regression_batch<R: AsRef<[(ColId, Value)]>>(
         let mut q = rspn.new_query();
         rspn.require_present(&mut q, table);
         add_evidence(rspn, db, table, row.as_ref(), &mut q);
-        for &f in factors {
+        for &f in &factors {
             q.set_func(f, LeafFunc::InvClamp1);
         }
         let mut den_q = q.clone();
@@ -86,7 +86,7 @@ pub fn predict_regression_batch<R: AsRef<[(ColId, Value)]>>(
     uq.set_func(target_col, LeafFunc::X);
     let mut upq = rspn.new_query();
     upq.add_pred(target_col, LeafPred::IsNotNull);
-    for &f in factors {
+    for &f in &factors {
         uq.set_func(f, LeafFunc::InvClamp1);
         upq.set_func(f, LeafFunc::InvClamp1);
     }
@@ -135,10 +135,7 @@ pub fn predict_classification_batch<R: AsRef<[(ColId, Value)]>>(
     if rows.is_empty() {
         return Ok(Vec::new());
     }
-    // Member selection and target column are a pure function of
-    // (table, target) — cached across batches.
-    let prelude = crate::cache::ml_prelude(ens, table, target, false)?;
-    let (idx, target_col) = (prelude.idx, prelude.target_col);
+    let (idx, target_col) = rspn_for(ens, table, target)?;
     let rspn = &ens.rspns()[idx];
 
     let mut plan = ProbePlan::new();
@@ -177,18 +174,16 @@ fn mode_to_value(v: f64) -> Value {
     }
 }
 
-pub(crate) fn rspn_for(
-    ens: &Ensemble,
-    table: TableId,
-    target: ColId,
-) -> Result<usize, DeepDbError> {
+/// The member that answers predictions of `(table, target)` and the
+/// target's data column in it.
+fn rspn_for(ens: &Ensemble, table: TableId, target: ColId) -> Result<(usize, usize), DeepDbError> {
     ens.rspns()
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.data_column(table, target).is_some())
+        .filter_map(|(i, r)| Some((i, r.data_column(table, target)?, r.columns().len())))
         // Prefer the RSPN with the most feature columns for this table.
-        .max_by_key(|(_, r)| r.columns().len())
-        .map(|(i, _)| i)
+        .max_by_key(|&(_, _, n_cols)| n_cols)
+        .map(|(i, target_col, _)| (i, target_col))
         .ok_or_else(|| {
             DeepDbError::NotAnswerable(format!("no RSPN models column ({table}, {target})"))
         })

@@ -14,7 +14,7 @@
 //!    [`ServeConfig::queue_capacity`] are rejected immediately with
 //!    [`DeepDbError::Overloaded`] (backpressure, no unbounded queueing).
 //! 2. **Plan** — the request checks a plan out of the plan cache
-//!    ([`crate::cache::Checkout`]): a shape hit costs one literal rebind of
+//!    ([`crate::checkout::Checkout`]): a shape hit costs one literal rebind of
 //!    a pooled working set.
 //! 3. **Lane** — the request's probes are absorbed into the forming
 //!    batch's shared [`ProbePlan`] ([`ProbePlan::absorb`]) and its checkout
@@ -81,10 +81,11 @@ use std::time::{Duration, Instant};
 use deepdb_spn::{CancelFlag, TileFault, TileFaultFn};
 use deepdb_storage::{Database, Query};
 
-use crate::cache::{ArtifactKind, Checkout, PreparedQuery};
+use crate::checkout::{Checkout, PreparedQuery};
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
 use crate::plan::{PlanStitch, ProbePlan};
+use crate::shape::ArtifactKind;
 use crate::DeepDbError;
 
 // ---------------------------------------------------------------------------

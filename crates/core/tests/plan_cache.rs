@@ -242,10 +242,10 @@ proptest! {
     }
 }
 
-/// AQP GROUP BY rides the template tier: repeated grouped queries must stay
-/// bitwise identical to the cache-disabled path and actually hit the cache.
+/// AQP GROUP BY builds its template per call: first and repeated grouped
+/// queries stay bitwise identical to the cache-disabled path.
 #[test]
-fn grouped_aqp_template_cache_transparent_and_hits() {
+fn grouped_aqp_is_cache_transparent() {
     let (db, ens) = fresh_ensemble(31);
     let q = Query::count(vec![0, 1])
         .aggregate(Aggregate::Avg(ColumnRef {
@@ -258,13 +258,7 @@ fn grouped_aqp_template_cache_transparent_and_hits() {
     let cold = execute_aqp(&ens, &db, &q).unwrap();
     ens.set_plan_cache_capacity(256);
     let miss = execute_aqp(&ens, &db, &q).unwrap();
-    let before = ens.plan_cache_stats();
     let hit = execute_aqp(&ens, &db, &q).unwrap();
-    let after = ens.plan_cache_stats();
-    assert!(
-        after.hits > before.hits,
-        "repeat GROUP BY must hit the template tier: {after:?} vs {before:?}"
-    );
 
     for out in [&miss, &hit] {
         let (a, b) = (cold.groups(), out.groups());

@@ -130,7 +130,6 @@ fn interleaved_update_stream_matches_recompile_bitwise() {
 fn batched_ensemble_updates_match_sequential_bitwise() {
     let (db, ens) = setup();
     let c = db.table_id("customer").unwrap();
-    let o = db.table_id("orders").unwrap();
 
     let rows: Vec<Vec<Value>> = (0..120)
         .map(|k| {
@@ -154,15 +153,25 @@ fn batched_ensemble_updates_match_sequential_bitwise() {
         .apply_insert_batch(&mut db_batch, c, &rows)
         .unwrap();
 
-    assert_eq!(ens_seq.updates_absorbed(), ens_batch.updates_absorbed());
-    assert_eq!(ens_seq.table_rows(c), ens_batch.table_rows(c));
-    for (a, b) in ens_seq.rspns().iter().zip(ens_batch.rspns()) {
+    assert_same_state((&ens_seq, &db_seq), (&ens_batch, &db_batch));
+}
+
+/// Model state (training-row counts, |J|), bookkeeping and every workload
+/// estimate of the two ensembles agree bitwise.
+fn assert_same_state(a: (&Ensemble, &Database), b: (&Ensemble, &Database)) {
+    let ((ens_a, db_a), (ens_b, db_b)) = (a, b);
+    let c = db_a.table_id("customer").unwrap();
+    let o = db_a.table_id("orders").unwrap();
+    assert_eq!(ens_a.updates_absorbed(), ens_b.updates_absorbed());
+    assert_eq!(ens_a.table_rows(c), ens_b.table_rows(c));
+    assert_eq!(db_a.table(c).n_rows(), db_b.table(c).n_rows());
+    for (a, b) in ens_a.rspns().iter().zip(ens_b.rspns()) {
         assert_eq!(a.n_training(), b.n_training(), "model mass diverged");
         assert_eq!(a.full_join_count(), b.full_join_count());
     }
     for (qi, q) in workload(c, o).iter().enumerate() {
-        let a = execute_aqp(&ens_seq, &db_seq, q).unwrap();
-        let b = execute_aqp(&ens_batch, &db_batch, q).unwrap();
+        let a = execute_aqp(ens_a, db_a, q).unwrap();
+        let b = execute_aqp(ens_b, db_b, q).unwrap();
         match (&a, &b) {
             (deepdb_core::AqpOutput::Scalar(x), deepdb_core::AqpOutput::Scalar(y)) => {
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "q{qi}");
@@ -177,6 +186,59 @@ fn batched_ensemble_updates_match_sequential_bitwise() {
             _ => panic!("shape mismatch"),
         }
     }
+}
+
+/// A batch that hits a malformed row returns its error, but the rows before
+/// it are in the database and bookkept — the models must have absorbed them
+/// exactly as two `apply_insert` calls would.
+#[test]
+fn malformed_row_ends_a_batch_without_dropping_the_rows_before_it() {
+    let (db, ens) = setup();
+    let c = db.table_id("customer").unwrap();
+    let good = |k: i64| {
+        vec![
+            Value::Int(5_000_000 + k),
+            Value::Int(30 + k),
+            Value::Int(k % 2),
+        ]
+    };
+    let malformed = vec![Value::Int(5_000_002), Value::Int(32), Value::Float(0.5)];
+
+    let mut db_seq = db.clone();
+    let mut ens_seq = snapshot_round_trip(&ens);
+    for k in 0..2 {
+        ens_seq.apply_insert(&mut db_seq, c, &good(k)).unwrap();
+    }
+
+    let mut db_batch = db.clone();
+    let mut ens_batch = snapshot_round_trip(&ens);
+    let epoch = ens_batch.plan_epoch();
+    let batch = [good(0), good(1), malformed];
+    assert!(ens_batch
+        .apply_insert_batch(&mut db_batch, c, &batch)
+        .is_err());
+    assert!(
+        ens_batch.plan_epoch() > epoch,
+        "plans must go stale: the models changed"
+    );
+    db_batch.validate_integrity().unwrap();
+    assert_same_state((&ens_seq, &db_seq), (&ens_batch, &db_batch));
+}
+
+/// One insert call is one invalidation: nobody can observe the epochs in
+/// between through the `&mut Ensemble` the call holds.
+#[test]
+fn one_epoch_bump_per_insert_call() {
+    let (mut db, mut ens) = setup();
+    let c = db.table_id("customer").unwrap();
+    let row = |k: i64| vec![Value::Int(6_000_000 + k), Value::Int(40), Value::Int(k % 2)];
+
+    let epoch = ens.plan_epoch();
+    let batch: Vec<Vec<Value>> = (0..16).map(row).collect();
+    ens.apply_insert_batch(&mut db, c, &batch).unwrap();
+    assert_eq!(ens.plan_epoch(), epoch + 1, "16-row batch");
+    ens.apply_insert(&mut db, c, &row(16)).unwrap();
+    assert_eq!(ens.plan_epoch(), epoch + 2, "single insert");
 }
 
 /// Deleting a row that routes to drained model mass leaves the member

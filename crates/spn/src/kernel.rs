@@ -46,7 +46,7 @@
 use std::ops::Range;
 
 use crate::arena::{ActiveSet, CompiledKind, CompiledSpn};
-use crate::leaf::{LeafBatchScratch, NormPred};
+use crate::leaf::NormPred;
 use crate::maxprod::MpeProbe;
 use crate::{LeafFunc, SpnQuery};
 
@@ -169,9 +169,6 @@ pub(crate) struct LeafValueTable {
     /// Per column, the probe index carrying the first occurrence of each
     /// distinct slot (build scratch).
     col_reps: Vec<Vec<u32>>,
-    /// Scratch for [`crate::Leaf::expect_norm_batch`] — the batched
-    /// prefix-sum probe walk over a column's distinct slots.
-    batch_scratch: LeafBatchScratch,
 }
 
 impl LeafValueTable {
@@ -255,28 +252,17 @@ impl LeafValueTable {
         }
 
         // One evaluation per (leaf, distinct slot of the leaf's column).
-        // When a column's distinct-slot fan is large relative to a leaf's
-        // histogram, all of its prefix-sum probes are resolved by one
-        // monotone merge walk ([`crate::Leaf::expect_norm_batch`], bitwise
-        // identical to the per-slot path); otherwise slot by slot.
         self.offsets.clear();
         self.vals.clear();
-        let slots = &self.slots;
-        let col_reps = &self.col_reps;
         for (payload, leaf) in spn.leaves.iter().enumerate() {
             let col = spn.leaf_col[payload] as usize;
             self.offsets.push(self.vals.len() as u32);
-            let fan = col_reps[col]
-                .iter()
-                .map(|&rq| slots[rq as usize * n_cols + col].as_ref());
-            if leaf.expect_norm_batch(fan.clone(), &mut self.batch_scratch, &mut self.vals) {
-                continue;
-            }
-            for slot in fan {
-                self.vals.push(match slot {
+            for &rq in &self.col_reps[col] {
+                let val = match &self.slots[rq as usize * n_cols + col] {
                     None => 1.0,
                     Some((func, np)) => leaf.expect_norm(*func, np),
-                });
+                };
+                self.vals.push(val);
             }
         }
     }

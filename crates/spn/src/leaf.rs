@@ -69,22 +69,6 @@ fn bin_index(lo: f64, width: f64, nb: usize, v: f64) -> usize {
     (((v - lo) / width) as isize).clamp(0, nb as isize - 1) as usize
 }
 
-/// Shape class of a normalized predicate, computed once per slot so the
-/// per-leaf hot path ([`Leaf::expect_norm`]) can dispatch straight to a
-/// single histogram lookup for the two dominant query shapes (equality
-/// points and pure ranges) instead of walking the general machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PredClass {
-    /// Exactly one finite equality value, no range/not-in constraints:
-    /// one binary search answers it.
-    Point,
-    /// Pure range (possibly unbounded), no value sets: two partition
-    /// points and a prefix-sum difference answer it.
-    Range,
-    /// Everything else takes the general path.
-    General,
-}
-
 /// Conjunction of leaf predicates normalized to one range + value sets.
 /// Built once per (query, column) by the batch evaluator and reused across
 /// every leaf with that column — the recursive evaluator rebuilds it per
@@ -102,7 +86,6 @@ pub(crate) struct NormPred {
     /// Spare buffer so [`NormPred::assign`] can drop an `In` set without
     /// losing its allocation for the next reuse of this slot.
     in_spare: Vec<f64>,
-    class: PredClass,
 }
 
 impl NormPred {
@@ -117,7 +100,6 @@ impl NormPred {
             want_null: false,
             want_not_null: false,
             in_spare: Vec::new(),
-            class: PredClass::General,
         };
         np.assign(preds);
         np
@@ -174,25 +156,6 @@ impl NormPred {
                 LeafPred::IsNotNull => self.want_not_null = true,
             }
         }
-        // NaN equality values must stay on the general path: its
-        // `value_passes` filter rejects them before the binary search (whose
-        // total-order fallback could otherwise spuriously match).
-        self.class = if self.want_null || !self.not_in.is_empty() {
-            PredClass::General
-        } else {
-            match &self.in_set {
-                None => PredClass::Range,
-                Some(s)
-                    if s.len() == 1
-                        && s[0].is_finite()
-                        && self.lo == f64::NEG_INFINITY
-                        && self.hi == f64::INFINITY =>
-                {
-                    PredClass::Point
-                }
-                Some(_) => PredClass::General,
-            }
-        };
     }
 
     /// Structural equality by float *bits* (NaN-safe, `±0.0`-distinguishing).
@@ -233,28 +196,6 @@ impl NormPred {
         !self.not_in.contains(&v)
     }
 }
-
-/// Reusable scratch for [`Leaf::expect_norm_batch`], owned by the caller
-/// (one per [`crate::kernel::LeafValueTable`]) so steady-state table
-/// rebuilds allocate nothing once the buffers have grown.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LeafBatchScratch {
-    /// `(boundary, inclusive, slot-tag)` probes: `inclusive = false`
-    /// resolves `partition_point(v < x)`, `true` resolves
-    /// `partition_point(v <= x)`.
-    bounds: Vec<(f64, bool, u32)>,
-    /// Resolved partition index per slot tag (two tags per slot: `2j` for
-    /// the start/lt boundary, `2j + 1` for the end/le boundary).
-    parts: Vec<u32>,
-    /// Per-slot dispatch decided during the counting pass.
-    plans: Vec<u8>,
-}
-
-/// [`LeafBatchScratch::plans`] codes.
-const PLAN_FALLBACK: u8 = 0;
-const PLAN_NONE: u8 = 1;
-const PLAN_POINT: u8 = 2;
-const PLAN_RANGE: u8 = 3;
 
 impl Leaf {
     /// Build a leaf over `col` from the given row slice.
@@ -428,48 +369,11 @@ impl Leaf {
                 cum,
             } => {
                 let fi = FUNCS.iter().position(|f| *f == func).unwrap();
-                match np.class {
-                    // Equality point: one binary search, no per-value
-                    // filtering. The `0.0 +` mirrors the general
-                    // accumulator's first addition so a `-0.0` contribution
-                    // stays bitwise identical.
-                    PredClass::Point => {
-                        let v = np.in_set.as_deref().expect("point class has a set")[0];
-                        let mut acc = 0.0;
-                        if let Ok(i) = values.binary_search_by(|a| {
-                            a.partial_cmp(&v).unwrap_or(std::cmp::Ordering::Equal)
-                        }) {
-                            acc += apply(func, v) * counts[i] as f64;
-                        }
-                        return acc / total;
-                    }
-                    // Pure range: prefix-sum difference with no NotIn
-                    // subtraction pass (it would iterate an empty set).
-                    PredClass::Range => {
-                        let start = if np.lo == f64::NEG_INFINITY {
-                            0
-                        } else if np.lo_strict {
-                            values.partition_point(|&v| v <= np.lo)
-                        } else {
-                            values.partition_point(|&v| v < np.lo)
-                        };
-                        let end = if np.hi == f64::INFINITY {
-                            values.len()
-                        } else if np.hi_strict {
-                            values.partition_point(|&v| v < np.hi)
-                        } else {
-                            values.partition_point(|&v| v <= np.hi)
-                        };
-                        if start >= end {
-                            return 0.0;
-                        }
-                        return (cum[fi][end] - cum[fi][start]) / total;
-                    }
-                    PredClass::General => {}
-                }
                 if let Some(set) = &np.in_set {
                     let mut acc = 0.0;
                     for &v in set {
+                        // Also rejects NaN members, which the binary search's
+                        // total-order fallback could otherwise match.
                         if !np.value_passes(v) {
                             continue;
                         }
@@ -582,155 +486,6 @@ impl Leaf {
                 acc / total
             }
         }
-    }
-
-    /// Batched twin of [`Leaf::expect_norm`] over the distinct slots of this
-    /// leaf's column: every Point/Range partition boundary across the whole
-    /// fan is sorted once and resolved in **one monotone merge walk** over
-    /// the sorted histogram, so one walk answers all of the column's slots
-    /// instead of one binary search per boundary. Returns `false` (nothing
-    /// written to `out`) when the walk cannot pay for itself — binned or
-    /// empty histograms, or a fan too small relative to the histogram — and
-    /// the caller evaluates per slot.
-    ///
-    /// **Bitwise contract**: partition indices are integers (a merge walk
-    /// and a binary search find the same index), and each slot's final
-    /// arithmetic mirrors `expect_norm` op for op, so a `true` return pushes
-    /// exactly the bits per-slot evaluation would. `None` (marginalized)
-    /// slots resolve to the multiplicative identity `1.0`, matching the
-    /// [`crate::kernel::LeafValueTable`] contract; General-class slots and
-    /// NaN range bounds fall back to `expect_norm` individually.
-    pub(crate) fn expect_norm_batch<'a>(
-        &self,
-        slots: impl Iterator<Item = Option<&'a (LeafFunc, NormPred)>> + Clone,
-        scratch: &mut LeafBatchScratch,
-        out: &mut Vec<f64>,
-    ) -> bool {
-        debug_assert!(!self.dirty, "expect_norm_batch on a dirty leaf");
-        let LeafKind::Exact {
-            values,
-            counts,
-            cum,
-        } = &self.kind
-        else {
-            return false;
-        };
-        let n = values.len();
-        if self.total == 0 || n == 0 {
-            return false;
-        }
-
-        // Counting pass: how many boundary probes would the walk resolve?
-        scratch.plans.clear();
-        let mut n_bounds = 0usize;
-        for slot in slots.clone() {
-            let plan = match slot {
-                None => PLAN_NONE,
-                Some((_, np)) => match np.class {
-                    PredClass::General => PLAN_FALLBACK,
-                    PredClass::Point => {
-                        n_bounds += 2;
-                        PLAN_POINT
-                    }
-                    // NaN bounds break the sort order; leave them to the
-                    // per-slot path, which already defines their result.
-                    PredClass::Range if np.lo.is_nan() || np.hi.is_nan() => PLAN_FALLBACK,
-                    PredClass::Range => {
-                        n_bounds += usize::from(np.lo != f64::NEG_INFINITY)
-                            + usize::from(np.hi != f64::INFINITY);
-                        PLAN_RANGE
-                    }
-                },
-            };
-            scratch.plans.push(plan);
-        }
-        // Worth it only when one O(n + L log L) walk undercuts L binary
-        // searches of O(log n) each.
-        if n_bounds < 2 || n_bounds * (n.ilog2() as usize + 1) < n {
-            return false;
-        }
-
-        // Emit and sort the boundaries: ascending by value, `v < x` before
-        // `v <= x` at equal values (the lt partition never exceeds the le
-        // one), compared with `partial_cmp` so `-0.0`/`0.0` stay
-        // interchangeable exactly as `partition_point`'s `<`/`<=` see them.
-        scratch.bounds.clear();
-        scratch.parts.clear();
-        scratch.parts.resize(2 * scratch.plans.len(), 0);
-        for (j, slot) in slots.clone().enumerate() {
-            let tag = (2 * j) as u32;
-            match (scratch.plans[j], slot) {
-                (PLAN_POINT, Some((_, np))) => {
-                    let v = np.in_set.as_deref().expect("point class has a set")[0];
-                    scratch.bounds.push((v, false, tag));
-                    scratch.bounds.push((v, true, tag + 1));
-                }
-                (PLAN_RANGE, Some((_, np))) => {
-                    if np.lo != f64::NEG_INFINITY {
-                        scratch.bounds.push((np.lo, np.lo_strict, tag));
-                    }
-                    if np.hi != f64::INFINITY {
-                        scratch.bounds.push((np.hi, !np.hi_strict, tag + 1));
-                    }
-                }
-                _ => {}
-            }
-        }
-        scratch.bounds.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        // The walk: partition targets are non-decreasing along the sorted
-        // boundary list, so one cursor over `values` resolves them all.
-        let mut vi = 0usize;
-        for &(x, le, tag) in &scratch.bounds {
-            while vi < n && (values[vi] < x || (le && values[vi] == x)) {
-                vi += 1;
-            }
-            scratch.parts[tag as usize] = vi as u32;
-        }
-
-        let total = self.total as f64;
-        for (j, slot) in slots.enumerate() {
-            let val = match (scratch.plans[j], slot) {
-                (PLAN_NONE, _) => 1.0,
-                (PLAN_FALLBACK, Some((func, np))) => self.expect_norm(*func, np),
-                (PLAN_POINT, Some((func, np))) => {
-                    // `lt` is where the point value sits if present; present
-                    // iff the le partition clears it.
-                    let v = np.in_set.as_deref().expect("point class has a set")[0];
-                    let lt = scratch.parts[2 * j] as usize;
-                    let le = scratch.parts[2 * j + 1] as usize;
-                    let mut acc = 0.0;
-                    if le > lt {
-                        acc += apply(*func, v) * counts[lt] as f64;
-                    }
-                    acc / total
-                }
-                (PLAN_RANGE, Some((func, np))) => {
-                    let fi = FUNCS.iter().position(|f| f == func).unwrap();
-                    let start = if np.lo == f64::NEG_INFINITY {
-                        0
-                    } else {
-                        scratch.parts[2 * j] as usize
-                    };
-                    let end = if np.hi == f64::INFINITY {
-                        n
-                    } else {
-                        scratch.parts[2 * j + 1] as usize
-                    };
-                    if start >= end {
-                        0.0
-                    } else {
-                        (cum[fi][end] - cum[fi][start]) / total
-                    }
-                }
-                _ => unreachable!("plan implies a Some slot"),
-            };
-            out.push(val);
-        }
-        true
     }
 
     /// Most frequent value (MPE at the leaf level); `None` when empty. Ties
@@ -1119,24 +874,22 @@ mod tests {
         acc / values.len() as f64
     }
 
+    /// Every predicate shape a slot can take — points present and absent,
+    /// strict / inclusive / unbounded / empty ranges, IN sets, `NotIn`, NULL
+    /// tests, a NaN bound, `-0.0` — against brute force, on a small histogram
+    /// and on a wider one that holds `0.0`.
     #[test]
     fn probabilities_match_brute_force() {
-        let vals = vec![1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, f64::NAN, 8.0, 9.0];
-        let mut leaf = leaf_from(&vals, true);
+        let range = |lo: f64, hi: f64, lo_incl: bool, hi_incl: bool| LeafPred::Range {
+            lo,
+            hi,
+            lo_incl,
+            hi_incl,
+        };
         let cases: Vec<Vec<LeafPred>> = vec![
             vec![],
-            vec![LeafPred::Range {
-                lo: 2.0,
-                hi: 5.0,
-                lo_incl: true,
-                hi_incl: true,
-            }],
-            vec![LeafPred::Range {
-                lo: 2.0,
-                hi: 5.0,
-                lo_incl: false,
-                hi_incl: false,
-            }],
+            vec![range(2.0, 5.0, true, true)],
+            vec![range(2.0, 5.0, false, false)],
             vec![LeafPred::In(vec![2.0, 9.0, 42.0])],
             vec![LeafPred::In(vec![5.0])],
             vec![LeafPred::In(vec![42.0])],
@@ -1144,24 +897,41 @@ mod tests {
             vec![LeafPred::NotIn(vec![5.0])],
             vec![LeafPred::IsNull],
             vec![LeafPred::IsNotNull],
-            vec![
-                LeafPred::Range {
-                    lo: 1.5,
-                    hi: 8.5,
-                    lo_incl: true,
-                    hi_incl: true,
-                },
-                LeafPred::NotIn(vec![3.0]),
-            ],
+            vec![range(1.5, 8.5, true, true), LeafPred::NotIn(vec![3.0])],
+            // Point absent from both histograms; NotIn of an absent value.
+            vec![LeafPred::In(vec![400.0])],
+            vec![LeafPred::NotIn(vec![4.0])],
+            vec![range(3.0, 20.0, true, false)],
+            vec![range(f64::NEG_INFINITY, 11.0, true, true)],
+            vec![range(14.0, f64::INFINITY, false, true)],
+            // Degenerate and contradictory ranges.
+            vec![range(10.0, 10.0, true, true)],
+            vec![range(5.0, 5.0, true, false)],
+            vec![range(30.0, 2.0, true, true)],
+            // A NaN bound constrains nothing; the other side still applies.
+            vec![range(f64::NAN, 5.0, true, true)],
+            vec![range(2.0, f64::NAN, false, true)],
+            // `-0.0` compares equal to the stored `0.0`.
+            vec![LeafPred::In(vec![-0.0])],
+            vec![range(-0.0, 5.0, true, true)],
+            vec![range(-0.0, 5.0, false, true)],
+            vec![range(f64::NEG_INFINITY, -0.0, true, true)],
+            vec![LeafPred::In(vec![0.0, 5.0]), range(1.0, 9.0, true, true)],
         ];
-        for preds in &cases {
-            for func in FUNCS {
-                let got = leaf.expect(func, preds);
-                let want = brute(&vals, func, preds);
-                assert!(
-                    (got - want).abs() < 1e-12,
-                    "func {func:?} preds {preds:?}: got {got}, want {want}"
-                );
+        let small = vec![1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0, f64::NAN, 8.0, 9.0];
+        let mut wide: Vec<f64> = (0..64).map(|i| ((i * 7) % 37) as f64).collect();
+        wide.push(f64::NAN);
+        for vals in [small, wide] {
+            let mut leaf = leaf_from(&vals, true);
+            for preds in &cases {
+                for func in FUNCS {
+                    let got = leaf.expect(func, preds);
+                    let want = brute(&vals, func, preds);
+                    assert!(
+                        (got - want).abs() < 1e-12,
+                        "func {func:?} preds {preds:?}: got {got}, want {want}"
+                    );
+                }
             }
         }
     }
@@ -1253,75 +1023,6 @@ mod tests {
         assert_eq!(leaf.total(), 51);
         let p_all = leaf.expect(LeafFunc::One, &[]);
         assert!((p_all - 1.0).abs() < 1e-9);
-    }
-
-    /// Satellite coverage: the batched prefix-sum probe walk must agree
-    /// with per-slot evaluation bitwise, across every slot class (points,
-    /// strict/inclusive/unbounded/empty ranges, General fallbacks,
-    /// marginalized `None`), including values absent from the histogram.
-    #[test]
-    fn batched_prefix_probes_match_per_slot_bitwise() {
-        let vals: Vec<f64> = (0..64).map(|i| ((i * 7) % 37) as f64).collect();
-        let leaf = leaf_from(&vals, true);
-        let range = |lo: f64, hi: f64, lo_incl: bool, hi_incl: bool| LeafPred::Range {
-            lo,
-            hi,
-            lo_incl,
-            hi_incl,
-        };
-        let slots: Vec<Option<(LeafFunc, NormPred)>> = vec![
-            None,
-            Some((LeafFunc::One, NormPred::new(&[LeafPred::In(vec![5.0])]))),
-            Some((LeafFunc::X, NormPred::new(&[range(3.0, 20.0, true, false)]))),
-            Some((
-                LeafFunc::X2,
-                NormPred::new(&[range(f64::NEG_INFINITY, 11.0, true, true)]),
-            )),
-            Some((
-                LeafFunc::One,
-                NormPred::new(&[range(14.0, f64::INFINITY, false, true)]),
-            )),
-            // General class → internal per-slot fallback.
-            Some((LeafFunc::One, NormPred::new(&[LeafPred::NotIn(vec![4.0])]))),
-            Some((LeafFunc::One, NormPred::new(&[LeafPred::IsNull]))),
-            // Point absent from the histogram.
-            Some((LeafFunc::One, NormPred::new(&[LeafPred::In(vec![400.0])]))),
-            Some((
-                LeafFunc::InvClamp1,
-                NormPred::new(&[range(10.0, 10.0, true, true)]),
-            )),
-            // Contradictory range.
-            Some((
-                LeafFunc::One,
-                NormPred::new(&[range(30.0, 2.0, true, true)]),
-            )),
-        ];
-        let mut scratch = LeafBatchScratch::default();
-        let mut got = Vec::new();
-        assert!(
-            leaf.expect_norm_batch(slots.iter().map(|s| s.as_ref()), &mut scratch, &mut got),
-            "fan of {} slots over {} distinct values must take the batched walk",
-            slots.len(),
-            37
-        );
-        let want: Vec<f64> = slots
-            .iter()
-            .map(|s| match s {
-                None => 1.0,
-                Some((f, np)) => leaf.expect_norm(*f, np),
-            })
-            .collect();
-        assert_eq!(got.len(), want.len());
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "slot {i}: got {g}, want {w}");
-        }
-
-        // A lone slot's two boundaries fail the cost gate (2 searches are
-        // cheaper than walking 37 values) — the caller falls back.
-        let lone = [slots[2].clone()];
-        let mut out = Vec::new();
-        assert!(!leaf.expect_norm_batch(lone.iter().map(|s| s.as_ref()), &mut scratch, &mut out));
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -83,7 +83,20 @@ impl Column {
         self.validity.as_ref().is_none_or(|v| v[row])
     }
 
-    fn push(&mut self, value: &Value) -> Result<(), StorageError> {
+    /// Whether [`Column::push`] can store `value` (nullability is the
+    /// table's concern, not the column's).
+    fn check(&self, value: &Value) -> Result<(), StorageError> {
+        match (&self.data, value) {
+            (ColumnData::Int(_), Value::Float(_)) => Err(StorageError::TypeMismatch {
+                expected: ColType::Int,
+                got: ColType::Float,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Append a value that passed [`Column::check`].
+    fn push(&mut self, value: &Value) {
         match (&mut self.data, value) {
             (ColumnData::Int(v), Value::Int(x)) => v.push(*x),
             (ColumnData::Float(v), Value::Float(x)) => v.push(*x),
@@ -91,12 +104,7 @@ impl Column {
             (ColumnData::Float(v), Value::Int(x)) => v.push(*x as f64),
             (ColumnData::Int(v), Value::Null) => v.push(0),
             (ColumnData::Float(v), Value::Null) => v.push(f64::NAN),
-            (ColumnData::Int(_), Value::Float(_)) => {
-                return Err(StorageError::TypeMismatch {
-                    expected: ColType::Int,
-                    got: ColType::Float,
-                })
-            }
+            (ColumnData::Int(_), Value::Float(_)) => unreachable!("rejected by Column::check"),
         }
         let is_null = value.is_null();
         match (&mut self.validity, is_null) {
@@ -109,7 +117,6 @@ impl Column {
             }
             (None, false) => {}
         }
-        Ok(())
     }
 
     fn swap_remove(&mut self, row: usize) {
@@ -171,7 +178,8 @@ impl Table {
         self.columns[col].value(row)
     }
 
-    /// Append a full row.
+    /// Append a full row. Check-then-apply: a rejected row leaves every
+    /// column untouched.
     pub fn push_row(&mut self, values: &[Value]) -> Result<(), StorageError> {
         if values.len() != self.columns.len() {
             return Err(StorageError::ArityMismatch {
@@ -180,14 +188,17 @@ impl Table {
                 got: values.len(),
             });
         }
-        for (idx, (col, v)) in self.columns.iter_mut().zip(values).enumerate() {
+        for (idx, (col, v)) in self.columns.iter().zip(values).enumerate() {
             if v.is_null() && !self.schema.columns()[idx].nullable {
                 return Err(StorageError::NullViolation {
                     table: self.schema.name().to_string(),
                     column: self.schema.columns()[idx].name.clone(),
                 });
             }
-            col.push(v)?;
+            col.check(v)?;
+        }
+        for (col, v) in self.columns.iter_mut().zip(values) {
+            col.push(v);
         }
         self.n_rows += 1;
         Ok(())
@@ -272,6 +283,40 @@ mod tests {
             t.push_row(&[Value::Int(1), Value::Null, Value::Null]),
             Err(StorageError::NullViolation { .. })
         ));
+    }
+
+    /// A row rejected at its last value must not leave the columns before
+    /// it one value longer than `n_rows`.
+    #[test]
+    fn rejected_row_leaves_every_column_untouched() {
+        let mut t = Table::new(
+            TableSchema::new("t")
+                .pk("id")
+                .nullable_col("score", Domain::Continuous)
+                .col("age", Domain::Discrete),
+        );
+        t.push_row(&[Value::Int(1), Value::Float(0.5), Value::Int(30)])
+            .unwrap();
+        assert!(matches!(
+            t.push_row(&[Value::Int(2), Value::Null, Value::Float(3.5)]),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            t.push_row(&[Value::Int(3), Value::Float(1.5), Value::Null]),
+            Err(StorageError::NullViolation { .. })
+        ));
+        assert_eq!(t.n_rows(), 1);
+        for col in 0..3 {
+            assert_eq!(t.column(col).len(), 1, "column {col}");
+        }
+        let good = [Value::Int(4), Value::Null, Value::Int(40)];
+        t.push_row(&good).unwrap();
+        assert_eq!(t.n_rows(), 2);
+        assert_eq!(t.row_values(1), good);
+        assert_eq!(
+            t.row_values(0),
+            [Value::Int(1), Value::Float(0.5), Value::Int(30)]
+        );
     }
 
     #[test]

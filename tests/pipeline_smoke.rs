@@ -4,7 +4,8 @@
 //! — answers bit for bit the same, before and after the plan epoch moves,
 //! and two threads sharing one entry's working-set pool never see anything
 //! else. Single-table members, so the two-table queries take the Case-3
-//! combination path.
+//! combination path. The routes that plan per call — GROUP BY, batched
+//! count-values, ML — must not notice the cache at all.
 
 use std::sync::Barrier;
 
@@ -129,6 +130,104 @@ fn assert_all_routes_agree(ens: &Ensemble, db: &Database, stage: &str) {
     }
 }
 
+fn value_bits(v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => *i as u64,
+        Value::Float(f) => f.to_bits(),
+        Value::Null => u64::MAX,
+    }
+}
+
+/// A route that plans per call, flattened to the bits of its answer.
+type PerCallRoute = fn(&Ensemble, &Database) -> Vec<u64>;
+
+/// GROUP BY (one and two columns, AVG and COUNT), batched count-values
+/// (covered by one member, and Case-3 combined) and the ML batches.
+fn per_call_routes() -> Vec<(&'static str, PerCallRoute)> {
+    fn grouped(ens: &Ensemble, db: &Database, q: &Query) -> Vec<u64> {
+        let out = execute_aqp(ens, db, q).unwrap();
+        assert!(!out.groups().is_empty());
+        let row = |(key, r): &(Vec<Value>, deepdb::AqpResult)| {
+            let result = [r.value, r.ci_low, r.ci_high, r.count_estimate].map(f64::to_bits);
+            key.iter().map(value_bits).chain(result).collect::<Vec<_>>()
+        };
+        out.groups().iter().flat_map(row).collect()
+    }
+    fn shared(tables: Vec<usize>) -> Query {
+        Query::count(tables).filter(0, 1, PredOp::Cmp(CmpOp::Le, Value::Int(55)))
+    }
+    fn count_values(ens: &Ensemble, db: &Database, q: &Query, target: ColumnRef) -> Vec<u64> {
+        let values = [Value::Int(0), Value::Int(1), Value::Int(7)];
+        let counts = compile::estimate_count_values(ens, db, q, target, &values).unwrap();
+        counts.into_iter().map(f64::to_bits).collect()
+    }
+    const REGION: ColumnRef = ColumnRef {
+        table: 0,
+        column: 2,
+    };
+    const CHANNEL: ColumnRef = ColumnRef {
+        table: 1,
+        column: 2,
+    };
+    vec![
+        ("group by, avg", |ens, db| {
+            grouped(
+                ens,
+                db,
+                &shared(vec![0, 1])
+                    .aggregate(Aggregate::Avg(AMOUNT))
+                    .group(0, 2),
+            )
+        }),
+        ("group by two columns, count", |ens, db| {
+            grouped(ens, db, &shared(vec![0, 1]).group(0, 2).group(1, 2))
+        }),
+        ("count-values, covered", |ens, db| {
+            count_values(ens, db, &shared(vec![0]), REGION)
+        }),
+        ("count-values, case 3", |ens, db| {
+            count_values(ens, db, &shared(vec![0, 1]), CHANNEL)
+        }),
+        ("regression batch", |ens, db| {
+            let rows = [[(2, Value::Int(0))], [(2, Value::Int(1))]];
+            let got = deepdb::ml::predict_regression_batch(ens, db, 1, 3, &rows).unwrap();
+            got.into_iter().map(f64::to_bits).collect()
+        }),
+        ("classification batch", |ens, db| {
+            let rows = [[(1, Value::Int(30))], [(1, Value::Int(70))]];
+            let got = deepdb::ml::predict_classification_batch(ens, db, 0, 2, &rows).unwrap();
+            got.iter().map(|v| value_bits(&v.unwrap())).collect()
+        }),
+    ]
+}
+
+/// cache off ≡ first cached call ≡ repeat ≡ after `invalidate_plans()`,
+/// bitwise — and none of these routes leaves anything but plan artifacts
+/// (here: nothing) in the cache.
+fn assert_per_call_routes_ignore_the_cache(ens: &Ensemble, db: &Database, stage: &str) {
+    for (name, run) in per_call_routes() {
+        ens.set_plan_cache_capacity(0);
+        let cold = run(ens, db);
+        ens.set_plan_cache_capacity(256);
+        let first = run(ens, db);
+        let repeat = run(ens, db);
+        let s = ens.plan_cache_stats();
+        assert_eq!(
+            (s.entries, s.hits, s.misses),
+            (0, 0, 0),
+            "{stage}, {name}: the cache holds and counts plans only"
+        );
+        ens.invalidate_plans();
+        let invalidated = run(ens, db);
+        assert_eq!(first, cold, "{stage}, {name}: first cached call != cold");
+        assert_eq!(repeat, cold, "{stage}, {name}: repeat != cold");
+        assert_eq!(
+            invalidated, cold,
+            "{stage}, {name}: after invalidation != cold"
+        );
+    }
+}
+
 #[test]
 fn every_route_answers_bitwise_the_same_across_epochs_and_threads() {
     let mut db = correlated_customer_order(700, 29);
@@ -143,6 +242,7 @@ fn every_route_answers_bitwise_the_same_across_epochs_and_threads() {
     let (count, twin) = (&count, &twin);
 
     assert_all_routes_agree(&ens, &db, "as learned");
+    assert_per_call_routes_ignore_the_cache(&ens, &db, "as learned");
 
     // The epoch moves without the models changing: nothing from the old
     // epoch survives, and a prepared query from it says so.
@@ -163,6 +263,7 @@ fn every_route_answers_bitwise_the_same_across_epochs_and_threads() {
     let row = [Value::Int(900_001), Value::Int(33), Value::Int(1)];
     ens.apply_insert(&mut db, 0, &row).unwrap();
     assert_all_routes_agree(&ens, &db, "after apply_insert");
+    assert_per_call_routes_ignore_the_cache(&ens, &db, "after apply_insert");
 
     // Two threads on one shape contend for the entry's working-set pool
     // (pop-or-clone at checkout, push at check-in) while alternating
