@@ -208,12 +208,12 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             .map(|i| queries[i % queries.len()].clone())
             .collect();
 
-        // The determinism contract the speedup rests on: SIMD kernels are
-        // bitwise equal to the scalar reference path.
-        let simd = ev.evaluate(&compiled, &batch, None);
-        let scalar = ev.evaluate_scalar(&compiled, &batch);
-        for (i, (a, b)) in simd.iter().zip(&scalar).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "batch {size}, query {i}");
+        // The determinism contract the speedup rests on: the batched sweep
+        // is bitwise equal to the recursive oracle.
+        let batched = ev.evaluate(&compiled, &batch, None);
+        for (i, (a, q)) in batched.iter().zip(&batch).enumerate() {
+            let want = spn.evaluate(q);
+            assert_eq!(a.to_bits(), want.to_bits(), "batch {size}, query {i}");
         }
 
         c.bench_function(&format!("batched_vs_recursive/recursive_{size}"), |b| {
@@ -228,10 +228,6 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
         c.bench_function(&format!("batched_vs_recursive/batched_{size}"), |b| {
             b.iter(|| ev.evaluate(&compiled, &batch, None))
         });
-        c.bench_function(
-            &format!("batched_vs_recursive/batched_scalar_{size}"),
-            |b| b.iter(|| ev.evaluate_scalar(&compiled, &batch)),
-        );
 
         // Machine-readable summary (median of 64 runs each).
         let rec_ns = median_ns_per_query(64, size, || {
@@ -242,8 +238,7 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             acc
         });
         let bat_ns = median_ns_per_query(64, size, || ev.evaluate(&compiled, &batch, None)[0]);
-        let sca_ns = median_ns_per_query(64, size, || ev.evaluate_scalar(&compiled, &batch)[0]);
-        summary.push((size, rec_ns, bat_ns, sca_ns));
+        summary.push((size, rec_ns, bat_ns));
     }
 
     let mut json =
@@ -257,13 +252,11 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             .to_string(),
     );
     json.push_str(",\n  \"results\": [\n");
-    for (i, (size, rec_ns, bat_ns, sca_ns)) in summary.iter().enumerate() {
+    for (i, (size, rec_ns, bat_ns)) in summary.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"batch_size\": {size}, \"recursive_ns_per_query\": {rec_ns:.1}, \
-             \"batched_ns_per_query\": {bat_ns:.1}, \"scalar_ns_per_query\": {sca_ns:.1}, \
-             \"speedup\": {:.2}, \"simd_vs_scalar\": {:.2}}}{}\n",
+             \"batched_ns_per_query\": {bat_ns:.1}, \"speedup\": {:.2}}}{}\n",
             rec_ns / bat_ns,
-            sca_ns / bat_ns,
             if i + 1 < summary.len() { "," } else { "" }
         ));
     }

@@ -317,7 +317,7 @@ impl Rspn {
 
     /// Evaluate a whole batch of expectations in one fused pass over the
     /// arena (one scratch buffer, predicate normalization hoisted per
-    /// query, SIMD semiring kernels over the query lanes) — the backbone of
+    /// query, one semiring kernel per node kind) — the backbone of
     /// probabilistic query compilation, which issues several probes per SQL
     /// query. Scratch is thread-local, so this is `&self` and safe to call
     /// from probe-plan worker threads.
@@ -635,12 +635,15 @@ impl Rspn {
         self.spn.delete_batch(&mut self.compiled, rows)
     }
 
+    /// Grow the GROUP BY domains by `row`'s values. A domain that would pass
+    /// [`MAX_GROUP_DISTINCT`] is dropped, as at learn time: GROUP BY then
+    /// falls back instead of enumerating a truncated domain.
     fn track_distincts(&mut self, row: &[f64]) {
         for (i, &v) in row.iter().enumerate() {
             if v.is_finite() && self.columns[i].discrete {
                 if let Some(set) = self.distincts.get_mut(&i) {
-                    if set.len() < MAX_GROUP_DISTINCT {
-                        set.insert(v.to_bits());
+                    if set.insert(v.to_bits()) && set.len() > MAX_GROUP_DISTINCT {
+                        self.distincts.remove(&i);
                     }
                 }
             }
@@ -794,6 +797,33 @@ mod tests {
         let col = rspn.data_column(c, 2).unwrap();
         let vals = rspn.distinct_values(col).unwrap();
         assert_eq!(vals, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn insert_past_the_distinct_cap_drops_the_group_domain() {
+        let (db, mut rspn) = learn_joint(500);
+        let c = db.table_id("customer").unwrap();
+        let col = rspn.data_column(c, 2).unwrap();
+        let mut row = vec![1.0; rspn.columns.len()];
+        // Below the cap a new value grows the domain.
+        row[col] = 7.0;
+        rspn.insert_row(&row);
+        assert_eq!(rspn.distinct_values(col).unwrap(), vec![0.0, 1.0, 7.0]);
+        // Fill the domain to exactly the cap.
+        let set = rspn.distincts.get_mut(&col).unwrap();
+        let mut v = 100.0f64;
+        while set.len() < MAX_GROUP_DISTINCT {
+            set.insert(v.to_bits());
+            v += 1.0;
+        }
+        // A value already present leaves it unchanged.
+        row[col] = 7.0;
+        rspn.insert_row(&row);
+        assert_eq!(rspn.distinct_values(col).unwrap().len(), MAX_GROUP_DISTINCT);
+        // A new value past the cap drops it, as learning would have.
+        row[col] = -5.0;
+        rspn.insert_row(&row);
+        assert_eq!(rspn.distinct_values(col), None);
     }
 
     #[test]

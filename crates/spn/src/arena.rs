@@ -184,13 +184,11 @@ impl CompiledSpn {
     }
 
     /// Recompute the per-node neutral (empty-query) values for both
-    /// semirings. The recurrences mirror the scalar sweep kernels in
+    /// semirings. The recurrences mirror the sweep kernels in
     /// [`crate::kernel`] operation-for-operation with every leaf pinned to
     /// the marginalized value `1.0` — exactly what [`crate::kernel::LeafValueTable`]
     /// gathers for an unconstrained column — so a neutral entry is bitwise
     /// what a full sweep writes for a node outside the query's scope.
-    /// (The SIMD kernels are bitwise-identical to the scalar ones by
-    /// contract, so one scalar recurrence covers both dispatch modes.)
     pub(crate) fn refresh_neutral(&mut self) {
         let n = self.n_nodes();
         self.neutral_expect.clear();
@@ -234,7 +232,7 @@ impl CompiledSpn {
                 }
                 CompiledKind::Product => {
                     let (s, e) = self.child_range(node);
-                    // (+,×): multiply with the scalar kernel's zero short-circuit.
+                    // (+,×): multiply with the kernel's zero short-circuit.
                     let mut acc = 1.0;
                     for i in s..e {
                         acc *= self.neutral_expect[self.children[i] as usize];

@@ -17,24 +17,18 @@
 //!   per (query, column), slots are deduplicated per column by float-bits
 //!   equality, and every (leaf, distinct slot) pair is evaluated exactly
 //!   once for the whole batch — the per-tile leaf kernels are pure gathers;
-//! * the SIMD inner-node kernels combine child rows four query lanes at a
-//!   time, one kernel call per run of consecutive same-kind nodes — with
-//!   the exact arithmetic of
-//!   the recursive oracle (same order, same zero-skips, no FMA
-//!   contraction), so results are **bitwise identical**, not approximately
-//!   equal. [`BatchEvaluator::evaluate_scalar`] keeps the scalar reference
-//!   path alive for differential tests and benches.
+//! * one kernel per node kind, one call per run of consecutive same-kind
+//!   nodes, with the exact arithmetic of the recursive oracle (same order,
+//!   same zero-skips, no FMA contraction), so results are **bitwise
+//!   identical** to it, not approximately equal.
 //!
-//! The evaluator owns only scratch; it can be reused across arbitrary
-//! [`CompiledSpn`]s and never allocates at steady state.
-//!
-//! Multi-model fused sweeps (the engine behind `deepdb-core`'s probe plans)
-//! live in [`crate::pool`]: [`crate::WorkerPool::sweep`] runs the tiles of
-//! all models inline or load-balanced across a persistent worker pool,
-//! bitwise identical to this evaluator for any thread count.
+//! The evaluator is one [`SweepJob`] on the inline sweep driver of
+//! [`crate::pool`] — the path [`crate::WorkerPool::sweep`] takes with one
+//! thread. It owns only its leaf-value tables (the sweep scratch is the
+//! calling thread's) and can be reused across arbitrary [`CompiledSpn`]s.
 
 use crate::arena::{ActiveSet, CompiledSpn};
-use crate::kernel::{Expectation, LeafValueTable, SweepScratch};
+use crate::pool::{sweep_inline, SweepJob, SweepTables};
 use crate::SpnQuery;
 
 /// Queries evaluated per tile of a sweep. Bounds the scratch to
@@ -44,12 +38,10 @@ use crate::SpnQuery;
 /// tiling (and tile-parallel execution) never changes results.
 pub const SWEEP_TILE: usize = 32;
 
-/// Reusable scratch for batched arena evaluation.
+/// Reusable leaf-value tables for batched arena evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct BatchEvaluator {
-    scratch: SweepScratch,
-    /// Per-batch (leaf × distinct slot) value table.
-    table: LeafValueTable,
+    tables: SweepTables,
 }
 
 impl BatchEvaluator {
@@ -69,72 +61,13 @@ impl BatchEvaluator {
         queries: &[SpnQuery],
         active: Option<&ActiveSet>,
     ) -> Vec<f64> {
-        self.run(spn, queries, true, active)
-    }
-
-    /// Scalar-kernel twin of a full [`BatchEvaluator::evaluate`]: the
-    /// reference path the SIMD kernels are differentially tested against
-    /// (results are bitwise identical). Counts as one fused sweep.
-    pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
-        self.run(spn, queries, false, None)
-    }
-
-    fn run(
-        &mut self,
-        spn: &CompiledSpn,
-        queries: &[SpnQuery],
-        simd: bool,
-        active: Option<&ActiveSet>,
-    ) -> Vec<f64> {
         let mut out = vec![0.0; queries.len()];
-        if queries.is_empty() {
-            return out;
-        }
-        spn.note_sweep();
-        // Leaf values are evaluated once per (leaf, distinct slot) for the
-        // WHOLE batch; the per-tile sweeps below only gather from the table.
-        self.table.build::<Expectation>(spn, queries);
-        let mut base = 0;
-        for (tile, dst) in queries.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
-            chunk(
-                &mut self.scratch,
-                &self.table,
-                spn,
-                tile,
-                base,
-                dst,
-                simd,
-                active,
-            );
-            base += tile.len();
-        }
+        sweep_inline([SweepJob {
+            active,
+            ..SweepJob::expect(spn, queries, &mut out, &mut self.tables)
+        }]);
         out
     }
-}
-
-/// One forward sweep over the arena for one tile of queries, writing one
-/// expectation per query into `out` — the tile entry of both
-/// [`BatchEvaluator`] and [`crate::WorkerPool::sweep`]. `table` is the
-/// leaf-value table of the whole batch and `base` the tile's offset within
-/// it, so tiles never re-evaluate shared leaf work. Does not bump the
-/// model's sweep counter — the batch accounts for it once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chunk(
-    scratch: &mut SweepScratch,
-    table: &LeafValueTable,
-    spn: &CompiledSpn,
-    queries: &[SpnQuery],
-    base: usize,
-    out: &mut [f64],
-    simd: bool,
-    active: Option<&ActiveSet>,
-) {
-    assert_eq!(queries.len(), out.len(), "output slice arity mismatch");
-    if queries.is_empty() {
-        return;
-    }
-    scratch.sweep::<Expectation>(spn, queries, table, base, simd, active);
-    out.copy_from_slice(scratch.root_values());
 }
 
 #[cfg(test)]
@@ -176,8 +109,9 @@ mod tests {
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let single = spn.evaluate(q);
-            assert!(
-                (batch[i] - single).abs() < 1e-12,
+            assert_eq!(
+                batch[i].to_bits(),
+                single.to_bits(),
                 "query {i}: batch {} vs recursive {single}",
                 batch[i]
             );
@@ -185,28 +119,30 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_scalar_kernels_agree_bitwise() {
-        let spn = small_spn();
+    fn boundary_batches_match_recursive_bitwise() {
+        let mut spn = small_spn();
         let compiled = spn.compile();
-        // Batch sizes straddling tile and lane boundaries, including the
-        // degenerate single-query lane.
+        // Batch sizes straddling the tile boundary, plus the one- to
+        // three-query batches every cardinality probe bundle sweeps.
         let base = probe_mix();
+        let mut ev = BatchEvaluator::new();
         for n in [1, 2, 3, 4, 5, 31, 32, 33, 65] {
             let queries: Vec<SpnQuery> = (0..n).map(|i| base[i % base.len()].clone()).collect();
-            let mut ev = BatchEvaluator::new();
-            let simd = ev.evaluate(&compiled, &queries, None);
-            let scalar = ev.evaluate_scalar(&compiled, &queries);
-            let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(simd_bits, scalar_bits, "batch size {n}");
+            let got: Vec<u64> = ev
+                .evaluate(&compiled, &queries, None)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = queries.iter().map(|q| spn.evaluate(q).to_bits()).collect();
+            assert_eq!(got, want, "batch size {n}");
         }
     }
 
-    /// Degenerate structures the SIMD kernels must not mishandle:
-    /// single-child sum and product runs, and an all-zero-weight sum node
-    /// (every edge skipped → the node evaluates to exactly 0.0).
+    /// Degenerate structures the kernels must not mishandle: single-child
+    /// sum and product runs, and an all-zero-weight sum node (every edge
+    /// skipped → the node evaluates to exactly 0.0).
     #[test]
-    fn degenerate_nodes_agree_simd_scalar_recursive() {
+    fn degenerate_nodes_match_recursive_bitwise() {
         use crate::node::{Node, ProductNode, SumNode};
         use crate::Leaf;
         fn leaf_over(values: &[f64], col: usize) -> Leaf {
@@ -241,7 +177,7 @@ mod tests {
         });
         let mut spn = crate::Spn::new(root, vec![ColumnMeta::discrete("x")], 4);
         let compiled = spn.compile();
-        // 33 queries straddle a tile boundary AND leave a partial lane.
+        // 33 queries straddle a tile boundary.
         let queries: Vec<SpnQuery> = (0..33)
             .map(|i| match i % 4 {
                 0 => SpnQuery::new(1),
@@ -250,20 +186,18 @@ mod tests {
                 _ => SpnQuery::new(1).with_func(0, LeafFunc::X),
             })
             .collect();
-        let mut ev = BatchEvaluator::new();
-        let simd = ev.evaluate(&compiled, &queries, None);
-        let scalar = ev.evaluate_scalar(&compiled, &queries);
-        for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
-            assert_eq!(s.to_bits(), c.to_bits(), "query {i}: simd vs scalar");
+        let got = BatchEvaluator::new().evaluate(&compiled, &queries, None);
+        for (i, g) in got.iter().enumerate() {
             let want = spn.evaluate(&queries[i]);
-            assert!(
-                (s - want).abs() < 1e-12,
-                "query {i}: {s} vs recursive {want}"
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "query {i}: {g} vs recursive {want}"
             );
         }
         // The zero-weight branch is dead: probability of its exclusive
         // value is exactly 0 on every path.
-        assert_eq!(simd[2].to_bits(), 0.0f64.to_bits());
+        assert_eq!(got[2].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -10,18 +10,20 @@
 //! * [`LeafKernel`] / [`SumKernel`] / [`ProductKernel`] — one method per
 //!   [`CompiledKind`], dispatched once per *run* of consecutive same-kind
 //!   nodes ([`CompiledSpn::node_runs`]) instead of once per node;
-//! * [`Expectation`] and [`MaxProduct`] — the two semiring kernel sets;
-//! * [`F64Lanes`] — a portable `f64x4`-style lane type for the SIMD inner
-//!   kernels. Lanes are plain `[f64; LANES]` elementwise arithmetic in a
-//!   fixed order, so LLVM auto-vectorizes them while every lane remains
-//!   **bitwise identical** to the scalar path (no FMA contraction, no
-//!   reassociation, zero-skips expressed as lanewise freezes).
+//! * [`Expectation`] and [`MaxProduct`] — the two semiring kernel sets.
 //!
-//! Scratch rows are node-major with a lane-padded stride: query `qi` of node
-//! `n` lives at `values[n * stride + qi]`. Padding lanes `[n_q, stride)` are
-//! written by the leaf kernels (the marginalized value `1.0`) so the SIMD
-//! inner kernels read deterministic values; real query lanes never depend on
-//! them — lane arithmetic is elementwise. The scratch is grow-only and never
+//! Each kernel has one body. An expectation inner node's loop runs children
+//! outer and the tile's queries inner, using the node's own scratch row as
+//! the accumulator: a sum node adds `w * child` per query (multiply then
+//! add, two roundings, no FMA contraction), a product node multiplies each
+//! query that is not yet ±0.0 and stops after the child that zeroes the
+//! whole row. The max-product kernels walk the tile in fixed-width query
+//! chunks with the children inside. Per query that is exactly the recursive
+//! oracle's operation sequence, so compiled ≡ oracle holds **bitwise**,
+//! under any codegen the compiler picks for the inner loops.
+//!
+//! Scratch rows are node-major with stride `n_q`: query `qi` of node `n`
+//! lives at `values[n * n_q + qi]`. The scratch is grow-only and never
 //! re-zeroed on the hot path: every slot a sweep reads was written earlier
 //! in the same sweep (children precede parents in the arena's topological
 //! order).
@@ -34,14 +36,12 @@
 //! kernels then dispatch over the ActiveSet's compacted runs only. The
 //! kernels themselves are untouched: pruning changes *which* rows they
 //! visit, never the arithmetic, so pruned ≡ full holds **bitwise by
-//! construction** (enforced by `tests/prop_prune.rs`). Batches narrower
-//! than [`LANES`] route to the scalar kernels — same bitwise contract,
-//! without paying lane padding for sub-lane batches.
+//! construction** (enforced by `tests/prop_prune.rs`).
 //!
 //! Determinism contract (enforced by `tests/prop_batch.rs` /
-//! `tests/prop_mpe.rs`): for both semirings, SIMD ≡ scalar ≡ recursive
-//! oracle **bitwise**, for every tile shape and thread count, including
-//! arenas patched in place by updates.
+//! `tests/prop_mpe.rs`): for both semirings, compiled ≡ recursive oracle
+//! **bitwise**, for every tile shape and thread count, including arenas
+//! patched in place by updates.
 
 use std::ops::Range;
 
@@ -50,75 +50,11 @@ use crate::leaf::NormPred;
 use crate::maxprod::MpeProbe;
 use crate::{LeafFunc, SpnQuery};
 
-/// Queries per SIMD lane group. Lane arithmetic is elementwise `[f64; 4]`
-/// in fixed order — auto-vectorizable, bitwise equal to scalar.
-pub(crate) const LANES: usize = 4;
+/// Queries per chunk of the max-product kernels' fixed-width accumulators.
+const CHUNK: usize = 4;
 
 /// Sentinel leaf payload id: "no target leaf on this branch".
 pub(crate) const NO_LEAF: u32 = u32::MAX;
-
-/// `n` rounded up to a whole number of lanes.
-#[inline]
-pub(crate) fn lane_padded(n: usize) -> usize {
-    n.div_ceil(LANES) * LANES
-}
-
-/// Portable `f64x4`-style lane vector. All ops are elementwise in lane
-/// order; none reassociate or contract (mul-then-add, never FMA), so each
-/// lane computes exactly the scalar sequence.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(32))]
-pub(crate) struct F64Lanes(pub [f64; LANES]);
-
-impl F64Lanes {
-    #[inline(always)]
-    pub fn splat(v: f64) -> Self {
-        Self([v; LANES])
-    }
-
-    #[inline(always)]
-    pub fn load(src: &[f64]) -> Self {
-        Self(src[..LANES].try_into().expect("lane load"))
-    }
-
-    #[inline(always)]
-    pub fn store(self, dst: &mut [f64]) {
-        dst[..LANES].copy_from_slice(&self.0);
-    }
-
-    /// `self + w * x`, lanewise, as a separate multiply then add — bitwise
-    /// equal to the scalar sum-node accumulation (no FMA contraction).
-    #[inline(always)]
-    pub fn add_scaled(self, w: f64, x: Self) -> Self {
-        let mut out = self.0;
-        for (acc, &c) in out.iter_mut().zip(&x.0) {
-            *acc += w * c;
-        }
-        Self(out)
-    }
-
-    /// Lanewise `if acc == 0.0 { acc } else { acc * x }` — the vector form
-    /// of the scalar product-node zero-skip: once a lane hits ±0.0 it is
-    /// frozen (keeping its sign), exactly as the scalar early `break` leaves
-    /// it.
-    #[inline(always)]
-    pub fn mul_keep_zero(self, x: Self) -> Self {
-        let mut out = self.0;
-        for (acc, &c) in out.iter_mut().zip(&x.0) {
-            if *acc != 0.0 {
-                *acc *= c;
-            }
-        }
-        Self(out)
-    }
-
-    /// Every lane is ±0.0 — the whole-vector analogue of the scalar early
-    /// break (all lanes frozen, remaining children can be skipped).
-    #[inline(always)]
-    pub fn all_zero(self) -> bool {
-        self.0.iter().all(|&v| v == 0.0)
-    }
-}
 
 /// Compiled per-(query, column) leaf slot: moment function + normalized
 /// predicate conjunction; `None` for marginalized columns.
@@ -147,9 +83,9 @@ fn slot_bits_eq(a: &CompiledSlot, b: &CompiledSlot) -> bool {
 /// one `f64` per (leaf, distinct slot) — proportional to the evaluation
 /// work the table replaces, never more.
 ///
-/// Values are the untouched `expect_norm` outputs, so every path that
-/// consults the table (SIMD, scalar, pooled tiles) stays bitwise identical
-/// to direct evaluation.
+/// Values are the untouched `expect_norm` outputs, so every tile that
+/// consults the table, inline or pooled, stays bitwise identical to direct
+/// evaluation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LeafValueTable {
     n_cols: usize,
@@ -280,13 +216,11 @@ impl LeafValueTable {
 pub(crate) struct SweepCtx<'a, P> {
     pub spn: &'a CompiledSpn,
     pub probes: &'a [P],
-    /// Live queries in this chunk.
+    /// Queries in this chunk, which is also the row stride.
     pub n_q: usize,
-    /// Row stride: `n_q` rounded up to a whole number of lanes.
-    pub stride: usize,
-    /// `n_nodes × stride` semiring values, node-major.
+    /// `n_nodes × n_q` semiring values, node-major.
     pub values: &'a mut [f64],
-    /// `n_nodes × stride` auxiliary lane (target-leaf payloads for the
+    /// `n_nodes × n_q` auxiliary values (target-leaf payloads for the
     /// max-product semiring; empty otherwise).
     pub aux: &'a mut [u32],
     /// Batch-wide pre-evaluated leaf values (one per (leaf, distinct slot)).
@@ -311,17 +245,17 @@ pub(crate) trait SemiringProbe {
 
 /// Kernel for a run of consecutive leaf nodes.
 pub(crate) trait LeafKernel: SemiringProbe {
-    fn leaf_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>, simd: bool);
+    fn leaf_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>);
 }
 
 /// Kernel for a run of consecutive sum nodes.
 pub(crate) trait SumKernel: SemiringProbe {
-    fn sum_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>, simd: bool);
+    fn sum_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>);
 }
 
 /// Kernel for a run of consecutive product nodes.
 pub(crate) trait ProductKernel: SemiringProbe {
-    fn product_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>, simd: bool);
+    fn product_run(ctx: &mut SweepCtx<'_, Self::Probe>, run: Range<usize>);
 }
 
 /// A complete semiring kernel set.
@@ -375,56 +309,40 @@ impl SemiringProbe for MaxProduct {
 }
 
 impl LeafKernel for Expectation {
-    fn leaf_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>, simd: bool) {
+    fn leaf_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>) {
+        let n_q = ctx.n_q;
         for node in run {
             let payload = ctx.spn.leaf_of[node] as usize;
             let col = ctx.spn.leaf_col[payload] as usize;
-            let row = &mut ctx.values[node * ctx.stride..(node + 1) * ctx.stride];
             // Pure gather: the heavy per-(leaf, distinct slot) evaluation
             // already happened once per batch in the [`LeafValueTable`].
-            for (qi, slot) in row[..ctx.n_q].iter_mut().enumerate() {
+            let row = &mut ctx.values[node * n_q..(node + 1) * n_q];
+            for (qi, slot) in row.iter_mut().enumerate() {
                 *slot = ctx.table.value(payload, ctx.base + qi, col);
-            }
-            if simd {
-                // Padding lanes take the marginalized value so downstream
-                // lane reads are deterministic; they never feed a real lane.
-                row[ctx.n_q..].fill(1.0);
             }
         }
     }
 }
 
 impl SumKernel for Expectation {
-    fn sum_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>, simd: bool) {
+    fn sum_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>) {
+        let n_q = ctx.n_q;
         for node in run {
             let (s, e) = ctx.spn.child_range(node);
             let children = &ctx.spn.children[s..e];
             let weights = &ctx.spn.weights[s..e];
             // Children precede parents, so this split puts every child row
             // in `read` and this node's row at the head of `write`.
-            let (read, write) = ctx.values.split_at_mut(node * ctx.stride);
-            if simd {
-                for lane0 in (0..ctx.stride).step_by(LANES) {
-                    let mut acc = F64Lanes::splat(0.0);
-                    for (&child, &w) in children.iter().zip(weights) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let c = F64Lanes::load(&read[child as usize * ctx.stride + lane0..]);
-                        acc = acc.add_scaled(w, c);
-                    }
-                    acc.store(&mut write[lane0..]);
+            let (read, write) = ctx.values.split_at_mut(node * n_q);
+            let row = &mut write[..n_q];
+            row.fill(0.0);
+            for (&child, &w) in children.iter().zip(weights) {
+                if w == 0.0 {
+                    continue;
                 }
-            } else {
-                for (qi, slot) in write[..ctx.n_q].iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (&child, &w) in children.iter().zip(weights) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        acc += w * read[child as usize * ctx.stride + qi];
-                    }
-                    *slot = acc;
+                let c = child as usize * n_q;
+                for (acc, &x) in row.iter_mut().zip(&read[c..c + n_q]) {
+                    *acc += w * x;
                 }
             }
         }
@@ -432,33 +350,25 @@ impl SumKernel for Expectation {
 }
 
 impl ProductKernel for Expectation {
-    fn product_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>, simd: bool) {
+    fn product_run(ctx: &mut SweepCtx<'_, SpnQuery>, run: Range<usize>) {
+        let n_q = ctx.n_q;
         for node in run {
             let (s, e) = ctx.spn.child_range(node);
-            let children = &ctx.spn.children[s..e];
-            let (read, write) = ctx.values.split_at_mut(node * ctx.stride);
-            if simd {
-                for lane0 in (0..ctx.stride).step_by(LANES) {
-                    let mut acc = F64Lanes::splat(1.0);
-                    for &child in children {
-                        let c = F64Lanes::load(&read[child as usize * ctx.stride + lane0..]);
-                        acc = acc.mul_keep_zero(c);
-                        if acc.all_zero() {
-                            break;
-                        }
+            let (read, write) = ctx.values.split_at_mut(node * n_q);
+            let row = &mut write[..n_q];
+            row.fill(1.0);
+            for &child in &ctx.spn.children[s..e] {
+                let c = child as usize * n_q;
+                // A query that reached ±0.0 stays there, sign kept: the
+                // oracle's early break, per query. Once every query has
+                // stopped, the remaining children are skipped.
+                for (acc, &x) in row.iter_mut().zip(&read[c..c + n_q]) {
+                    if *acc != 0.0 {
+                        *acc *= x;
                     }
-                    acc.store(&mut write[lane0..]);
                 }
-            } else {
-                for (qi, slot) in write[..ctx.n_q].iter_mut().enumerate() {
-                    let mut acc = 1.0;
-                    for &child in children {
-                        acc *= read[child as usize * ctx.stride + qi];
-                        if acc == 0.0 {
-                            break;
-                        }
-                    }
-                    *slot = acc;
+                if row.iter().all(|&v| v == 0.0) {
+                    break;
                 }
             }
         }
@@ -466,13 +376,14 @@ impl ProductKernel for Expectation {
 }
 
 impl LeafKernel for MaxProduct {
-    fn leaf_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>, simd: bool) {
+    fn leaf_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>) {
+        let n_q = ctx.n_q;
         for node in run {
             let payload = ctx.spn.leaf_of[node] as usize;
             let col = ctx.spn.leaf_col[payload] as usize;
-            let row = node * ctx.stride;
-            let scores = &mut ctx.values[row..row + ctx.stride];
-            let leaves = &mut ctx.aux[row..row + ctx.stride];
+            let row = node * n_q;
+            let scores = &mut ctx.values[row..row + n_q];
+            let leaves = &mut ctx.aux[row..row + n_q];
             for (qi, probe) in ctx.probes.iter().enumerate() {
                 if probe.target == col {
                     // Target leaves contribute score 1 and resolve the
@@ -484,37 +395,32 @@ impl LeafKernel for MaxProduct {
                     leaves[qi] = NO_LEAF;
                 }
             }
-            if simd {
-                scores[ctx.n_q..].fill(1.0);
-                leaves[ctx.n_q..].fill(NO_LEAF);
-            }
         }
     }
 }
 
 impl SumKernel for MaxProduct {
-    fn sum_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>, simd: bool) {
-        // The argmax recurrence is compare/select per lane; with the lane
-        // count fixed at compile time LLVM vectorizes the chunked form, and
-        // both forms run the identical per-lane comparison sequence.
-        let span = if simd { ctx.stride } else { ctx.n_q };
+    fn sum_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>) {
+        // The argmax recurrence is compare/select per query; with the chunk
+        // width fixed at compile time LLVM vectorizes the chunked form.
+        let n_q = ctx.n_q;
         for node in run {
             let (s, e) = ctx.spn.child_range(node);
             let children = &ctx.spn.children[s..e];
             let weights = &ctx.spn.weights[s..e];
-            let row = node * ctx.stride;
+            let row = node * n_q;
             let (read_s, write_s) = ctx.values.split_at_mut(row);
             let (read_l, write_l) = ctx.aux.split_at_mut(row);
-            for lane0 in (0..span).step_by(LANES) {
-                let width = LANES.min(span - lane0);
-                let mut found = [false; LANES];
-                let mut best_score = [0.0f64; LANES];
-                let mut best = [NO_LEAF; LANES];
+            for q0 in (0..n_q).step_by(CHUNK) {
+                let width = CHUNK.min(n_q - q0);
+                let mut found = [false; CHUNK];
+                let mut best_score = [0.0f64; CHUNK];
+                let mut best = [NO_LEAF; CHUNK];
                 for (&child, &w) in children.iter().zip(weights) {
                     if w == 0.0 {
                         continue;
                     }
-                    let crow = child as usize * ctx.stride + lane0;
+                    let crow = child as usize * n_q + q0;
                     for l in 0..width {
                         // Lowest-index child wins ties: only a strictly
                         // higher weighted score replaces the incumbent.
@@ -526,28 +432,28 @@ impl SumKernel for MaxProduct {
                         }
                     }
                 }
-                write_s[lane0..lane0 + width].copy_from_slice(&best_score[..width]);
-                write_l[lane0..lane0 + width].copy_from_slice(&best[..width]);
+                write_s[q0..q0 + width].copy_from_slice(&best_score[..width]);
+                write_l[q0..q0 + width].copy_from_slice(&best[..width]);
             }
         }
     }
 }
 
 impl ProductKernel for MaxProduct {
-    fn product_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>, simd: bool) {
-        let span = if simd { ctx.stride } else { ctx.n_q };
+    fn product_run(ctx: &mut SweepCtx<'_, MpeProbe>, run: Range<usize>) {
+        let n_q = ctx.n_q;
         for node in run {
             let (s, e) = ctx.spn.child_range(node);
             let children = &ctx.spn.children[s..e];
-            let row = node * ctx.stride;
+            let row = node * n_q;
             let (read_s, write_s) = ctx.values.split_at_mut(row);
             let (read_l, write_l) = ctx.aux.split_at_mut(row);
-            for lane0 in (0..span).step_by(LANES) {
-                let width = LANES.min(span - lane0);
-                let mut acc = [1.0f64; LANES];
-                let mut leaf = [NO_LEAF; LANES];
+            for q0 in (0..n_q).step_by(CHUNK) {
+                let width = CHUNK.min(n_q - q0);
+                let mut acc = [1.0f64; CHUNK];
+                let mut leaf = [NO_LEAF; CHUNK];
                 for &child in children {
-                    let crow = child as usize * ctx.stride + lane0;
+                    let crow = child as usize * n_q + q0;
                     for l in 0..width {
                         // No zero-break here: the first child holding a
                         // target leaf resolves the branch value regardless
@@ -558,8 +464,8 @@ impl ProductKernel for MaxProduct {
                         }
                     }
                 }
-                write_s[lane0..lane0 + width].copy_from_slice(&acc[..width]);
-                write_l[lane0..lane0 + width].copy_from_slice(&leaf[..width]);
+                write_s[q0..q0 + width].copy_from_slice(&acc[..width]);
+                write_l[q0..q0 + width].copy_from_slice(&leaf[..width]);
             }
         }
     }
@@ -573,9 +479,9 @@ impl ProductKernel for MaxProduct {
 /// slot is written before it is read within one sweep.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
-    /// `n_nodes × stride` semiring values, node-major.
+    /// `n_nodes × n_q` semiring values, node-major.
     values: Vec<f64>,
-    /// `n_nodes × stride` auxiliary lane (max-product target leaves).
+    /// `n_nodes × n_q` auxiliary values (max-product target leaves).
     aux: Vec<u32>,
     /// Offset of the root row of the most recent sweep.
     root: usize,
@@ -585,21 +491,20 @@ pub(crate) struct SweepScratch {
 
 impl SweepScratch {
     /// One forward sweep of one chunk of `probes` over `spn` in semiring
-    /// `K`, scalar or SIMD, gathering leaf values from a batch-wide
-    /// [`LeafValueTable`] (`base` is the chunk's offset within the batch
-    /// the table was built for). With an [`ActiveSet`], only its compacted
-    /// runs are swept after seeding the boundary rows from the arena's
-    /// neutral table — bitwise identical to the full sweep by construction.
-    /// Results land in the root row ([`SweepScratch::root_values`] /
-    /// [`SweepScratch::root_aux`]). Does **not** bump the model's sweep
-    /// counter — callers account for fused sweeps.
+    /// `K`, gathering leaf values from a batch-wide [`LeafValueTable`]
+    /// (`base` is the chunk's offset within the batch the table was built
+    /// for). With an [`ActiveSet`], only its compacted runs are swept after
+    /// seeding the boundary rows from the arena's neutral table — bitwise
+    /// identical to the full sweep by construction. Results land in the
+    /// root row ([`SweepScratch::root_values`] / [`SweepScratch::root_aux`]).
+    /// Does **not** bump the model's sweep counter — callers account for
+    /// fused sweeps.
     pub(crate) fn sweep<K: Kernels>(
         &mut self,
         spn: &CompiledSpn,
         probes: &[K::Probe],
         table: &LeafValueTable,
         base: usize,
-        simd: bool,
         active: Option<&ActiveSet>,
     ) {
         let n_q = probes.len();
@@ -608,14 +513,9 @@ impl SweepScratch {
         for p in probes {
             K::check(p, n_cols);
         }
-        // Sub-lane batches route to the scalar kernels: padding a 1-query
-        // chunk to a whole lane group does 4× the work for the same bits
-        // (scalar ≡ SIMD is contractual).
-        let simd = simd && n_q >= LANES;
 
         let n_nodes = spn.n_nodes();
-        let stride = lane_padded(n_q);
-        let need = n_nodes * stride;
+        let need = n_nodes * n_q;
         if self.values.len() < need {
             self.values.resize(need, 0.0);
         }
@@ -628,7 +528,6 @@ impl SweepScratch {
             spn,
             probes,
             n_q,
-            stride,
             values: &mut self.values[..need],
             aux: &mut self.aux[..aux_need],
             table,
@@ -636,10 +535,9 @@ impl SweepScratch {
         };
 
         // Pruned path: seed the boundary rows with their query-independent
-        // values (whole stride, padding included, so lane reads stay
-        // deterministic), then dispatch only the compacted active runs.
-        // Scratch keeps full node-id addressing, so the kernels' child-row
-        // split (`children < node`) is untouched.
+        // values, then dispatch only the compacted active runs. Scratch
+        // keeps full node-id addressing, so the kernels' child-row split
+        // (`children < node`) is untouched.
         let runs = match active {
             Some(a) => {
                 debug_assert_eq!(
@@ -648,13 +546,13 @@ impl SweepScratch {
                 );
                 let neutral = K::neutral(spn);
                 for &s in a.seeds() {
-                    let row = s as usize * ctx.stride;
-                    ctx.values[row..row + ctx.stride].fill(neutral[s as usize]);
+                    let row = s as usize * n_q;
+                    ctx.values[row..row + n_q].fill(neutral[s as usize]);
                     if K::TRACKS_LEAF {
                         // A pruned subtree never holds a target leaf (the
-                        // target column is always active), so the aux lane is
+                        // target column is always active), so the aux row is
                         // constantly "no leaf on this branch".
-                        ctx.aux[row..row + ctx.stride].fill(NO_LEAF);
+                        ctx.aux[row..row + n_q].fill(NO_LEAF);
                     }
                 }
                 a.runs()
@@ -668,14 +566,14 @@ impl SweepScratch {
             let range = run.start as usize..run.end as usize;
             nodes += (run.end - run.start) as u64;
             match run.kind {
-                CompiledKind::Leaf => K::leaf_run(&mut ctx, range, simd),
-                CompiledKind::Sum => K::sum_run(&mut ctx, range, simd),
-                CompiledKind::Product => K::product_run(&mut ctx, range, simd),
+                CompiledKind::Leaf => K::leaf_run(&mut ctx, range),
+                CompiledKind::Sum => K::sum_run(&mut ctx, range),
+                CompiledKind::Product => K::product_run(&mut ctx, range),
             }
         }
         spn.note_nodes(nodes);
 
-        self.root = (n_nodes - 1) * stride;
+        self.root = (n_nodes - 1) * n_q;
         self.n_out = n_q;
     }
 
@@ -684,50 +582,9 @@ impl SweepScratch {
         &self.values[self.root..self.root + self.n_out]
     }
 
-    /// Root-row auxiliary lane of the most recent sweep (max-product target
-    /// leaves), one per probe.
+    /// Root-row auxiliary values of the most recent sweep (max-product
+    /// target leaves), one per probe.
     pub(crate) fn root_aux(&self) -> &[u32] {
         &self.aux[self.root..self.root + self.n_out]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lane_padding_rounds_up() {
-        assert_eq!(lane_padded(0), 0);
-        assert_eq!(lane_padded(1), LANES);
-        assert_eq!(lane_padded(LANES), LANES);
-        assert_eq!(lane_padded(LANES + 1), 2 * LANES);
-        assert_eq!(lane_padded(32), 32);
-        assert_eq!(lane_padded(33), 36);
-    }
-
-    #[test]
-    fn mul_keep_zero_freezes_signed_zero_lanes() {
-        let acc = F64Lanes([0.0, -0.0, 2.0, f64::NAN]);
-        let x = F64Lanes([f64::NAN, 5.0, 3.0, 2.0]);
-        let out = acc.mul_keep_zero(x);
-        // ±0.0 lanes freeze (sign preserved), live lanes multiply — even
-        // into NaN, exactly like the scalar loop.
-        assert_eq!(out.0[0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(out.0[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(out.0[2], 6.0);
-        assert!(out.0[3].is_nan());
-        assert!(!out.all_zero());
-        assert!(F64Lanes([0.0, -0.0, 0.0, 0.0]).all_zero());
-    }
-
-    #[test]
-    fn add_scaled_is_mul_then_add() {
-        let acc = F64Lanes::splat(0.1);
-        let x = F64Lanes([1.0, 2.0, 3.0, 4.0]);
-        let out = acc.add_scaled(0.3, x);
-        for (l, &got) in out.0.iter().enumerate() {
-            let want = 0.1 + 0.3 * (l + 1) as f64;
-            assert_eq!(got.to_bits(), want.to_bits(), "lane {l}");
-        }
     }
 }

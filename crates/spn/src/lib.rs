@@ -37,18 +37,18 @@
 //!   parameterized by per-node-run semiring kernels
 //!   (`LeafKernel`/`SumKernel`/`ProductKernel` for (+, ×) and (max, ×)):
 //!   consecutive same-kind arena nodes are dispatched as one kernel call,
-//!   and the inner kernels process four query lanes at a time with
-//!   explicit-lane (`f64x4`-style) arithmetic that is **bitwise identical**
-//!   to the scalar reference path (`evaluate_scalar`) — no FMA contraction,
-//!   no reassociation, zero-skips as lanewise freezes;
-//! * [`WorkerPool::sweep`] — the one sweep routine: one fused sweep per
+//!   and each node kind has one kernel body — children outer, the tile's
+//!   queries inner — that is **bitwise identical** to the recursive oracle:
+//!   no FMA contraction, no reassociation, zero-skips as per-query freezes;
+//! * [`WorkerPool::sweep`] — the sweep routine: one fused sweep per
 //!   compiled model, leaf-value tables built into caller-owned
 //!   [`SweepTables`], tiles (expectation **and** MPE probes alike) run
-//!   inline or load-balanced across a **persistent worker pool**: workers
-//!   keep pinned evaluator scratch for their lifetime, claim tiles off an
+//!   inline — the one inline driver the evaluators use too — or
+//!   load-balanced across a **persistent worker pool**: workers keep
+//!   pinned evaluator scratch for their lifetime, claim tiles off an
 //!   atomic cursor, and park between jobs; the execution engine of
 //!   `deepdb-core`'s probe plans. Evaluation is `&self`-safe, and results
-//!   are bitwise identical for every thread count and kernel flavor;
+//!   are bitwise identical for every thread count;
 //! * [`ActiveSet`] — query-scoped sub-DAG pruning: the arena caches each
 //!   node's query-independent (empty-query) value per semiring, and a sweep
 //!   restricted to the nodes whose scope intersects the constrained/target

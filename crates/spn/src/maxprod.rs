@@ -11,22 +11,20 @@
 //! its mode is a single O(1) lookup in the arena's cached
 //! [`crate::CompiledSpn`] `leaf_mode` table (rebuilt by `commit_patch`
 //! whenever updates touch a leaf). No recursion, no second top-down pass,
-//! no per-visit allocation. Both semirings run the same sweep skeleton and
-//! lane-structured kernels ([`crate::kernel`]); the scalar reference path
-//! survives as [`MaxProductEvaluator::evaluate_scalar`].
+//! no per-visit allocation. Both semirings run the same sweep skeleton
+//! ([`crate::kernel`]) and the same inline sweep driver ([`crate::pool`]).
 //!
 //! Determinism: at a sum node the **lowest-index child wins ties** (a later
 //! child must score *strictly* higher to replace the incumbent), and the
 //! frozen `count/total` mixture weight multiplies the child score in exactly
 //! the order the recursive oracle in [`crate::infer`] uses — so compiled and
 //! recursive MPE agree **bitwise** (score and value), which
-//! `tests/prop_mpe.rs` enforces. Results are also independent of kernel
-//! flavor (SIMD vs scalar), tiling, and thread count: a probe reads only its
-//! own slots and its own scratch lane.
+//! `tests/prop_mpe.rs` enforces. Results are also independent of tiling and
+//! thread count: a probe reads only its own slots and its own scratch
+//! column.
 
 use crate::arena::{ActiveSet, CompiledSpn};
-use crate::batch::SWEEP_TILE;
-use crate::kernel::{LeafValueTable, MaxProduct, SweepScratch, NO_LEAF};
+use crate::pool::{sweep_inline, SweepJob, SweepTables};
 use crate::SpnQuery;
 
 /// One max-product probe: evidence (an [`SpnQuery`]) plus the column whose
@@ -66,14 +64,12 @@ impl Default for MpeOutcome {
     }
 }
 
-/// Reusable scratch for batched arena max-product evaluation; the MPE twin
-/// of [`crate::BatchEvaluator`], with the same tiling scheme and per-batch
-/// leaf-value table.
+/// Reusable leaf-value tables for batched arena max-product evaluation;
+/// the MPE twin of [`crate::BatchEvaluator`], with the same tiling scheme
+/// and sweep driver.
 #[derive(Debug, Clone, Default)]
 pub struct MaxProductEvaluator {
-    scratch: SweepScratch,
-    /// Per-batch (leaf × distinct slot) value table.
-    table: LeafValueTable,
+    tables: SweepTables,
 }
 
 impl MaxProductEvaluator {
@@ -94,77 +90,19 @@ impl MaxProductEvaluator {
         probes: &[MpeProbe],
         active: Option<&ActiveSet>,
     ) -> Vec<MpeOutcome> {
-        self.run(spn, probes, true, active)
-    }
-
-    /// Scalar-kernel twin of a full [`MaxProductEvaluator::evaluate`]: the
-    /// reference path the SIMD kernels are differentially tested against
-    /// (results are bitwise identical). Counts as one fused sweep.
-    pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        self.run(spn, probes, false, None)
-    }
-
-    fn run(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        simd: bool,
-        active: Option<&ActiveSet>,
-    ) -> Vec<MpeOutcome> {
         let mut out = vec![MpeOutcome::default(); probes.len()];
-        if probes.is_empty() {
-            return out;
-        }
-        spn.note_sweep();
-        // Leaf values are evaluated once per (leaf, distinct slot) for the
-        // WHOLE batch; the per-tile sweeps below only gather from the table.
-        self.table.build::<MaxProduct>(spn, probes);
-        let mut base = 0;
-        for (tile, dst) in probes.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
-            chunk(
-                &mut self.scratch,
-                &self.table,
-                spn,
-                tile,
-                base,
-                dst,
-                simd,
-                active,
-            );
-            base += tile.len();
-        }
+        sweep_inline([SweepJob {
+            spn,
+            queries: &[],
+            out: &mut [],
+            mpe: probes,
+            mpe_out: &mut out,
+            tables: &mut self.tables,
+            cancel: None,
+            fault: None,
+            active,
+        }]);
         out
-    }
-}
-
-/// The max-product twin of [`crate::batch::chunk`]: one tile of probes
-/// against the batch-wide `table`, one [`MpeOutcome`] per probe into `out`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chunk(
-    scratch: &mut SweepScratch,
-    table: &LeafValueTable,
-    spn: &CompiledSpn,
-    probes: &[MpeProbe],
-    base: usize,
-    out: &mut [MpeOutcome],
-    simd: bool,
-    active: Option<&ActiveSet>,
-) {
-    assert_eq!(probes.len(), out.len(), "output slice arity mismatch");
-    if probes.is_empty() {
-        return;
-    }
-    scratch.sweep::<MaxProduct>(spn, probes, table, base, simd, active);
-    let scores = scratch.root_values();
-    let leaves = scratch.root_aux();
-    for ((slot, &score), &leaf) in out.iter_mut().zip(scores).zip(leaves) {
-        *slot = MpeOutcome {
-            score,
-            value: match leaf {
-                NO_LEAF => None,
-                payload => spn.leaf_mode(payload),
-            },
-        };
     }
 }
 
@@ -218,8 +156,8 @@ mod tests {
     }
 
     /// All-zero-weight sum node: no child ever becomes the incumbent, so
-    /// the score is 0 and no target leaf resolves — on the SIMD and scalar
-    /// kernels alike.
+    /// the score is 0 and no target leaf resolves — on the compiled path and
+    /// the recursive oracle alike.
     #[test]
     fn all_zero_weight_sum_yields_empty_outcome() {
         let root = Node::Sum(SumNode {
@@ -232,17 +170,16 @@ mod tests {
             centroids: vec![vec![-1.0], vec![1.0]],
             norm: vec![(0.0, 1.0)],
         });
-        let spn = Spn::new(root, vec![ColumnMeta::discrete("x")], 0);
+        let mut spn = Spn::new(root, vec![ColumnMeta::discrete("x")], 0);
         let compiled = spn.compile();
         let probes: Vec<MpeProbe> = (0..33)
             .map(|_| MpeProbe::new(0, SpnQuery::new(1)))
             .collect();
-        let simd = MaxProductEvaluator::new().evaluate(&compiled, &probes, None);
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
-        assert_eq!(simd, scalar);
-        for got in &simd {
+        let want = spn.mpe_outcome(0, &SpnQuery::new(1));
+        for got in MaxProductEvaluator::new().evaluate(&compiled, &probes, None) {
             assert_eq!(got.score.to_bits(), 0.0f64.to_bits());
             assert_eq!(got.value, None);
+            assert_eq!((got.score.to_bits(), got.value), (want.0.to_bits(), want.1));
         }
     }
 
@@ -298,12 +235,6 @@ mod tests {
             let (score, value) = spn.mpe_outcome(p.target, &p.query);
             assert_eq!(got[i].value, value, "probe {i}");
             assert_eq!(got[i].score.to_bits(), score.to_bits(), "probe {i}");
-        }
-        // SIMD and scalar kernels agree bitwise across the whole batch.
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
-        for (i, (a, b)) in got.iter().zip(&scalar).enumerate() {
-            assert_eq!(a.score.to_bits(), b.score.to_bits(), "probe {i}");
-            assert_eq!(a.value, b.value, "probe {i}");
         }
     }
 

@@ -1,13 +1,16 @@
 //! Fused multi-model sweeps: one routine, inline or across a persistent
 //! worker pool.
 //!
-//! [`WorkerPool::sweep`] is the only sweep driver: per job it builds the
-//! job-wide leaf-value tables into **caller-owned** [`SweepTables`], cuts the
-//! probes into tiles, and runs the tiles — on the calling thread when
-//! `threads <= 1` (no tile vector, no locks, no allocation once the tables
-//! and the thread's scratch have grown), across the pool's workers
-//! otherwise. Cancellation and fault hooks are honoured at every tile on
-//! both branches. The pool keeps its workers alive across sweeps:
+//! Every sweep is a list of [`SweepJob`]s: per job the job-wide leaf-value
+//! tables are built into **caller-owned** [`SweepTables`], the probes are
+//! cut into tiles, and [`WorkerScratch::run`] sweeps each tile and writes
+//! its outputs. Tiles run on the calling thread in the one inline driver
+//! ([`sweep_inline`]: no tile vector, no locks, no allocation once the
+//! tables and the thread's scratch have grown) — [`WorkerPool::sweep`] with
+//! `threads <= 1` and both evaluators go through it — or across the pool's
+//! workers when [`WorkerPool::sweep`] is given more threads. Cancellation and
+//! fault hooks are honoured at every tile on both branches. The pool keeps
+//! its workers alive across sweeps:
 //!
 //! * **pinned scratch** — each worker owns one [`WorkerScratch`] (a sweep
 //!   scratch per semiring) for its whole lifetime, so steady-state sweeps
@@ -41,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use crate::arena::{ActiveSet, CompiledSpn};
 use crate::batch::SWEEP_TILE;
-use crate::kernel::{Expectation, LeafValueTable, MaxProduct, SweepScratch};
+use crate::kernel::{Expectation, LeafValueTable, MaxProduct, SweepScratch, NO_LEAF};
 use crate::maxprod::{MpeOutcome, MpeProbe};
 use crate::SpnQuery;
 
@@ -132,12 +135,12 @@ pub enum TileFault {
 pub type TileFaultFn<'a> = dyn Fn() -> Option<TileFault> + Sync + 'a;
 
 /// Caller-owned leaf-value tables of one [`SweepJob`], one per probe kind.
-/// [`WorkerPool::sweep`] rebuilds them in place on every sweep and the
-/// job's tiles only gather from them; they are grow-only and recycle what a
+/// Every sweep of the job rebuilds them in place and the job's tiles only
+/// gather from them; they are grow-only and recycle what a
 /// smaller batch leaves unused, so a caller that keeps one per model
 /// (`deepdb-core` does, per thread) sweeps without allocating once they
 /// have seen its probe layouts.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepTables {
     expect: LeafValueTable,
     mpe: LeafValueTable,
@@ -297,34 +300,46 @@ impl WorkerScratch {
             return;
         }
         match &mut tile.kind {
-            TileKind::Expect(spn, queries, out, table, base) => crate::batch::chunk(
-                &mut self.expect,
-                table,
-                spn,
-                queries,
-                *base,
-                out,
-                true,
-                tile.active,
-            ),
-            TileKind::Mpe(spn, probes, out, table, base) => crate::maxprod::chunk(
-                &mut self.maxprod,
-                table,
-                spn,
-                probes,
-                *base,
-                out,
-                true,
-                tile.active,
-            ),
+            TileKind::Expect(spn, queries, out, table, base) => {
+                let s = &mut self.expect;
+                s.sweep::<Expectation>(spn, queries, table, *base, tile.active);
+                out.copy_from_slice(s.root_values());
+            }
+            TileKind::Mpe(spn, probes, out, table, base) => {
+                let s = &mut self.maxprod;
+                s.sweep::<MaxProduct>(spn, probes, table, *base, tile.active);
+                for ((slot, &score), &leaf) in out.iter_mut().zip(s.root_values()).zip(s.root_aux())
+                {
+                    *slot = MpeOutcome {
+                        score,
+                        value: match leaf {
+                            NO_LEAF => None,
+                            payload => spn.leaf_mode(payload),
+                        },
+                    };
+                }
+            }
         }
     }
 }
 
 thread_local! {
-    /// The submitting thread's own pinned scratch — it drains tiles
-    /// alongside the workers.
+    /// The submitting thread's own pinned scratch — it runs inline sweeps
+    /// and drains pooled tiles alongside the workers.
     static SUBMITTER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
+}
+
+/// The inline sweep driver: every job's tiles run on the calling thread, as
+/// they are cut, with the thread's pinned scratch — no tile vector, no
+/// locks, no allocation once the tables and the scratch have grown.
+/// [`WorkerPool::sweep`] with `threads <= 1` and both evaluators run here.
+pub(crate) fn sweep_inline<'a>(jobs: impl IntoIterator<Item = SweepJob<'a>>) {
+    SUBMITTER_SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        for job in jobs {
+            job.into_tiles(|mut tile| scratch.run(&mut tile));
+        }
+    });
 }
 
 /// A tile-claiming closure: returns `false` once the cursor is exhausted.
@@ -437,12 +452,7 @@ impl WorkerPool {
             threads
         };
         if threads <= 1 {
-            SUBMITTER_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                for job in jobs {
-                    job.into_tiles(|mut tile| scratch.run(&mut tile));
-                }
-            });
+            sweep_inline(jobs);
             return;
         }
         let mut tiles: Vec<Tile<'a>> = Vec::new();

@@ -2,10 +2,9 @@
 //! recursive reference evaluator on randomized SPNs × randomized query
 //! batches — including NULL handling (`IsNull`/`IsNotNull`), `In`/`NotIn`
 //! sets, one- and two-sided ranges, and every moment slot (`X`, `X²`,
-//! `InvClamp1`, `InvSqClamp1`). The SIMD kernels are additionally held to
-//! **bitwise** equality against the scalar reference path
-//! ([`BatchEvaluator::evaluate_scalar`]), across tile- and lane-boundary
-//! batch shapes and in-place update streams.
+//! `InvClamp1`, `InvSqClamp1`). Agreement is **bitwise**, across
+//! tile-boundary and one- to three-query batch shapes and in-place update
+//! streams.
 
 use deepdb_spn::{
     BatchEvaluator, ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery,
@@ -92,27 +91,19 @@ proptest! {
         prop_assert_eq!(got.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
-            prop_assert!(
-                (got[i] - want).abs() < 1e-12,
-                "query {i}: batch {} vs recursive {} ({q:?})", got[i], want
-            );
-        }
-        // The SIMD kernels must reproduce the scalar path bit for bit.
-        let scalar = BatchEvaluator::new().evaluate_scalar(&compiled, &queries);
-        for (i, (s, c)) in got.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(
-                s.to_bits(), c.to_bits(),
-                "query {}: simd {} vs scalar {}", i, s, c
+                got[i].to_bits(), want.to_bits(),
+                "query {}: batch {} vs recursive {} ({:?})", i, got[i], want, q
             );
         }
     }
 
-    /// SIMD ≡ scalar bitwise at every tile/lane-boundary batch size — 31,
-    /// 32, 33, 65 straddle the sweep tile (32) and partial-lane shapes —
-    /// with one shared evaluator so scratch reuse across differing strides
-    /// is exercised too.
+    /// Compiled ≡ recursive bitwise at every tile-boundary batch size — 31,
+    /// 32, 33, 65 straddle the sweep tile (32) — and at the one- to
+    /// three-query batches of a cardinality probe bundle, with one shared
+    /// evaluator so scratch reuse across differing strides is exercised too.
     #[test]
-    fn simd_matches_scalar_bitwise_on_boundary_batches(
+    fn boundary_batches_match_recursive_bitwise(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..5), 20..200),
         specs in prop::collection::vec((0usize..3, 0i64..6, 0i64..40, 0i64..40, 0usize..5), 4..12),
     ) {
@@ -123,21 +114,16 @@ proptest! {
             .map(|s| build_query(std::slice::from_ref(s)))
             .collect();
         let mut ev = BatchEvaluator::new();
-        for n in [1usize, 3, 4, 31, 32, 33, 65] {
+        for n in [1usize, 2, 3, 4, 31, 32, 33, 65] {
             let queries: Vec<SpnQuery> =
                 (0..n).map(|i| pool[i % pool.len()].clone()).collect();
-            let simd = ev.evaluate(&compiled, &queries, None);
-            let scalar = ev.evaluate_scalar(&compiled, &queries);
-            let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(simd_bits, scalar_bits, "batch size {}", n);
-            let recursive: Vec<f64> = queries.iter().map(|q| spn.evaluate(q)).collect();
-            for (i, (s, w)) in simd.iter().zip(&recursive).enumerate() {
-                prop_assert!(
-                    (s - w).abs() < 1e-12,
-                    "batch size {}, query {}: simd {} vs recursive {}", n, i, s, w
-                );
-            }
+            let got: Vec<u64> = ev
+                .evaluate(&compiled, &queries, None)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = queries.iter().map(|q| spn.evaluate(q).to_bits()).collect();
+            prop_assert_eq!(got, want, "batch size {}", n);
         }
     }
 
@@ -165,9 +151,9 @@ proptest! {
         let got = BatchEvaluator::new().evaluate(&compiled, &queries, None);
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
-            prop_assert!(
-                (got[i] - want).abs() < 1e-12,
-                "probe {i}: batch {} vs recursive {}", got[i], want
+            prop_assert_eq!(
+                got[i].to_bits(), want.to_bits(),
+                "probe {}: batch {} vs recursive {}", i, got[i], want
             );
         }
     }
@@ -187,13 +173,14 @@ proptest! {
         let q = SpnQuery::new(3).with_pred(0, LeafPred::eq(probe as f64));
         let got = BatchEvaluator::new().evaluate(&compiled, std::slice::from_ref(&q), None)[0];
         let want = spn.evaluate(&q);
-        prop_assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
     }
 
-    /// SIMD ≡ scalar bitwise survives in-place patched-update streams: the
-    /// arena the kernels sweep is edited by updates, never recompiled.
+    /// Compiled ≡ recursive bitwise survives in-place patched-update
+    /// streams: the arena the kernels sweep is edited by updates, never
+    /// recompiled.
     #[test]
-    fn simd_matches_scalar_after_patched_updates(
+    fn patched_arena_matches_recursive_bitwise(
         rows in prop::collection::vec((0i64..5, 0i64..30, 0i64..4), 30..150),
         tuples in prop::collection::vec((0i64..5, 0i64..30, 0i64..4), 1..12),
         batch in prop::collection::vec(
@@ -210,15 +197,12 @@ proptest! {
             );
         }
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
-        let mut ev = BatchEvaluator::new();
-        let simd = ev.evaluate(&arena, &queries, None);
-        let scalar = ev.evaluate_scalar(&arena, &queries);
-        for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
-            prop_assert_eq!(s.to_bits(), c.to_bits(), "query {}: simd vs scalar", i);
+        let got = BatchEvaluator::new().evaluate(&arena, &queries, None);
+        for (i, g) in got.iter().enumerate() {
             let want = spn.evaluate(&queries[i]);
-            prop_assert!(
-                (s - want).abs() < 1e-12,
-                "query {}: simd {} vs recursive {}", i, s, want
+            prop_assert_eq!(
+                g.to_bits(), want.to_bits(),
+                "query {}: compiled {} vs recursive {}", i, g, want
             );
         }
     }

@@ -66,6 +66,8 @@
 //! ([`spn::BatchEvaluator`] in the (+, ×) semiring,
 //! [`spn::MaxProductEvaluator`] in (max, ×) with deterministic
 //! lowest-child-wins tie-breaking and O(1) cached leaf-mode backtraces).
+//! Each node kind has one sweep kernel, bitwise equal to the recursive
+//! oracle for any batch size, tiling and thread count.
 //! Models compile at learn/load time; inserts and deletes then **patch the
 //! arena in place** (lockstep with the tree, O(depth) per tuple, bitwise
 //! identical to a recompile — cached modes included), so the engines are
