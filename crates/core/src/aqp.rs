@@ -288,6 +288,23 @@ mod tests {
     }
 
     #[test]
+    fn malformed_group_by_and_aggregate_columns_are_errors() {
+        let (db, ens) = setup();
+        let c = db.table_id("customer").unwrap();
+        let width = db.table(c).schema().n_columns();
+        for q in [
+            Query::count(vec![c]).group(db.n_tables(), 0),
+            Query::count(vec![c]).group(c, width),
+            Query::count(vec![c]).aggregate(Aggregate::Avg(ColumnRef {
+                table: c,
+                column: width,
+            })),
+        ] {
+            assert!(execute_aqp(&ens, &db, &q).is_err(), "{q:?}");
+        }
+    }
+
+    #[test]
     fn grouped_counts_sum_to_total() {
         let (db, ens) = setup();
         let c = db.table_id("customer").unwrap();

@@ -634,11 +634,10 @@ fn single_rspn_count(
 /// No production call path reaches this function: `estimate_count`, AQP
 /// GROUP BY, SUM, and inclusion–exclusion all go through [`CombinePlan`],
 /// which registers every step's bundles on one fused plan. It is kept
-/// `pub` solely so `crates/core/tests/combine_plan.rs` and the
-/// `join_combine` bench can assert the planned path resolves **bitwise**
-/// identically to step-by-step eager evaluation (decision logic included:
-/// both implementations must pick the same members and edges or values
-/// diverge).
+/// `pub` solely so `crates/core/tests/combine_plan.rs` can assert the
+/// planned path resolves **bitwise** identically to step-by-step eager
+/// evaluation (decision logic included: both implementations must pick the
+/// same members and edges or values diverge).
 pub fn multi_rspn_count(
     ens: &Ensemble,
     db: &Database,

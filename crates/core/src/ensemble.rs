@@ -287,11 +287,10 @@ pub struct Ensemble {
     /// Worker-thread cap for probe-plan execution; 0 = auto (available
     /// parallelism). Runtime-only, not part of snapshots.
     probe_threads: usize,
-    /// Persistent sweep worker pool: every probe-plan execution (AQP,
-    /// cardinality, classification batches) reuses these workers and their
-    /// pinned evaluator scratch instead of spawning threads per call.
-    /// Workers spawn lazily on the first parallel sweep and park between
-    /// jobs. Runtime-only, not part of snapshots.
+    /// Sweep fan-out: every probe-plan execution (AQP, cardinality,
+    /// classification batches) sweeps through it, and threaded sweeps
+    /// reuse the helper scratch it parks between calls. Runtime-only, not
+    /// part of snapshots.
     pool: WorkerPool,
     /// Plan-cache invalidation epoch: bumped by [`Ensemble::recompile_models`]
     /// and every coverage-/count-changing maintenance operation. Every cache
@@ -474,10 +473,10 @@ impl Ensemble {
         }
     }
 
-    /// The ensemble's persistent sweep worker pool. Probe-plan execution
-    /// submits its fused sweeps here; the workers (and their pinned
-    /// evaluator scratch) live as long as the ensemble and park idle
-    /// between jobs.
+    /// The ensemble's sweep fan-out. Probe-plan execution submits its
+    /// fused sweeps here; threaded sweeps spawn scoped helpers that are
+    /// joined before the sweep returns, and their evaluator scratch is
+    /// kept for the next sweep.
     pub fn worker_pool(&self) -> &WorkerPool {
         &self.pool
     }

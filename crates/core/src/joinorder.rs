@@ -63,7 +63,11 @@ fn pack_pred(table: TableId, column: usize, op: &PredOp) -> Option<u64> {
                 return None;
             }
             let nulls = vs.iter().filter(|v| matches!(v, Value::Null)).count() as u64;
-            (9, (vs.len() as u64) << 4 | nulls.min(15))
+            // The NULL count binds fewer literals, so it must be exact.
+            if nulls > 15 {
+                return None;
+            }
+            (9, (vs.len() as u64) << 4 | nulls)
         }
         PredOp::IsNull => (10, 0),
         PredOp::IsNotNull => (11, 0),
@@ -327,6 +331,16 @@ mod tests {
         assert!(subset_key(&q, &[0]).is_none());
         let q = Query::count(vec![64]);
         assert!(subset_key(&q, &[64]).is_none());
+        // Equal-length IN lists bind one literal per non-NULL value, so a
+        // NULL count the key cannot hold exactly must not be memoized.
+        let in_list = |nulls: usize| {
+            let mut vs = vec![Value::Null; nulls];
+            vs.resize(20, Value::Int(1));
+            Query::count(vec![0]).filter(0, 1, PredOp::In(vs))
+        };
+        assert!(subset_key(&in_list(15), &[0]).is_some());
+        assert!(subset_key(&in_list(16), &[0]).is_none());
+        assert!(subset_key(&in_list(17), &[0]).is_none());
     }
 
     #[test]

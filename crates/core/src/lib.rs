@@ -29,8 +29,8 @@
 //!   and resolve typed handles after a single `execute()`, which sweeps each
 //!   touched member's compiled arena exactly once — both probe kinds ride
 //!   the same sweep — inline for a plan of one tile's worth of probes, with
-//!   the tiles of all members spread over the ensemble's persistent worker
-//!   pool otherwise.
+//!   the tiles of all members shared out over the calling thread and
+//!   scoped helper threads otherwise.
 //! * [`cache`] — the plan cache (query shape → plan artifact, nothing else)
 //!   behind the one execute path: every scalar query — one-shot,
 //!   [`PreparedQuery`], served — checks a rebindable plan and its scratch

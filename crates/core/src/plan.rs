@@ -18,15 +18,16 @@
 //! 3. **sweep** — one private runner ([`ProbePlan::run`]) executes every
 //!    plan, whoever holds it: **one fused sweep per touched member**
 //!    covering both probe kinds, through the single sweep routine of
-//!    `deepdb_spn` ([`deepdb_spn::WorkerPool::sweep`], on the pool owned by
-//!    [`Ensemble`](crate::Ensemble)). The runner writes into a
+//!    `deepdb_spn` ([`deepdb_spn::WorkerPool::sweep`], through the pool
+//!    owned by [`Ensemble`](crate::Ensemble)). The runner writes into a
 //!    caller-provided [`PlanScratch`] (pre-sized results, pinned pruning
 //!    sets) and builds leaf values into the calling thread's per-member
 //!    tables, so a holder that keeps its scratch (a plan-cache checkout, see
 //!    [`crate::cache`]) executes without allocating. A plan of at most one
 //!    tile's worth of probes, or a thread budget of one, runs inline on the
-//!    calling thread; larger plans spread their tiles over the persistent
-//!    worker pool. Results are bitwise identical for any thread count.
+//!    calling thread; larger plans share their tiles out over the calling
+//!    thread and scoped helper threads. Results are bitwise identical for
+//!    any thread count.
 //!    [`ProbePlan::execute`] / [`ProbePlan::execute_with_threads`] are thin
 //!    wrappers that bring fresh scratch for ad-hoc plans (GROUP BY fans,
 //!    count-values batches, ML batches);
@@ -294,7 +295,7 @@ impl ProbePlan {
             actives.is_empty() || actives.len() == self.members.len(),
             "active sets must align with plan members"
         );
-        // Waking workers is only worth it once there is more than one
+        // Spawning helpers is only worth it once there is more than one
         // tile's worth of work — tiny plans (scalar COUNT/AVG/SUM bundles,
         // single predictions, even across several members) run inline.
         let small = self.n_probes() <= SWEEP_TILE;

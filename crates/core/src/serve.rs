@@ -19,8 +19,8 @@
 //! 3. **Lane** — the request's probes are absorbed into the forming
 //!    batch's shared [`ProbePlan`] ([`ProbePlan::absorb`]) and its checkout
 //!    rides along with the batch; the first
-//!    client in becomes the batch **leader**. The front has one sweep
-//!    **lane** per sweep thread ([`ServeConfig::threads`]). While a lane is
+//!    client in becomes the batch **leader**. The front has
+//!    [`ServeConfig::threads`] sweep **lanes**. While a lane is
 //!    free the leader takes the batch and sweeps at once; while every lane
 //!    is sweeping it waits for the first of: a finishing executor handing
 //!    its lane over, the batch reaching [`ServeConfig::max_batch`], the
@@ -28,11 +28,12 @@
 //!    deadline. Batches therefore grow out of contention — arrivals pile up
 //!    behind busy lanes and are fused into the next sweep — and an idle
 //!    front adds no wait at all.
-//! 4. **Fused sweep** — the leader executes the shared plan: **one fused
-//!    sweep per touched RSPN member per batch**, tiles spread over the
-//!    ensemble's persistent worker pool, with a batch-wide [`CancelFlag`]
-//!    checked at every tile claim. A batch of one skips fuse and demux and
-//!    runs its checkout directly. Solo, fused and isolated sweeps all go
+//! 4. **Fused sweep** — the leader executes the shared plan on its own
+//!    thread: **one fused sweep per touched RSPN member per batch**, with a
+//!    batch-wide [`CancelFlag`] checked at every tile. The lanes are the
+//!    parallelism; a lane never fans its tiles out to further threads. A
+//!    batch of one skips fuse and demux and runs its checkout directly.
+//!    Solo, fused and isolated sweeps all go
 //!    through the one plan runner ([`ProbePlan::run`]).
 //! 5. **Demux** — per-client slices are copied into each client's own
 //!    checkout ([`crate::plan::ProbeResults::extract_into`]), which is handed
@@ -55,9 +56,8 @@
 //! * **Panic isolation** — a panic inside the fused sweep aborts only the
 //!   shared execution; the leader re-executes every co-batched query's
 //!   checkout *individually* under its own `catch_unwind`, so the faulty query alone
-//!   fails with [`DeepDbError::QueryPanicked`] while its peers still get
-//!   bitwise-correct answers. The worker pool self-heals (panicked workers
-//!   replace their scratch wholesale).
+//!   fails with [`DeepDbError::QueryPanicked`], carrying the panic's
+//!   message, while its peers still get bitwise-correct answers.
 //! * **Maintenance races** — plan-epoch bumps landing mid-flight are
 //!   detected after the sweep; affected requests retry **once** end to end
 //!   (re-plan, re-batch, re-sweep) and only then surface
@@ -99,7 +99,7 @@ pub enum FaultSite {
     Admission,
     /// Before the plan-cache lookup / artifact build.
     CacheLookup,
-    /// Inside the worker pool, at every claimed sweep tile.
+    /// At every sweep tile, before it runs.
     TileStart,
     /// Before the client resolves its demuxed results.
     CombineResolve,
@@ -270,9 +270,9 @@ pub struct ServeConfig {
     /// consecutive deadline miss) under deadline pressure, restored on
     /// clean batches; `0` disables batching (every request sweeps alone).
     pub window: Duration,
-    /// Worker-thread cap for fused sweeps (`0` = the ensemble's budget),
-    /// and with it the number of sweep lanes: how many batches sweep side
-    /// by side before the next leader waits and its batch grows.
+    /// Number of sweep lanes (`0` = the ensemble's probe-thread budget):
+    /// how many batches sweep side by side before the next leader waits
+    /// and its batch grows. Each lane sweeps on its leader's thread.
     pub threads: usize,
 }
 
@@ -835,9 +835,11 @@ impl<'a> ServeFront<'a> {
             _ => CancelFlag::new(),
         };
 
+        // One thread per sweep: the lanes already supply the parallelism,
+        // and a lane that fanned out would take cores from the others.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut scratch = plan.fresh_scratch(self.ens);
-            plan.run(self.ens, &mut scratch, self.cfg.threads, Some(&flag), fault);
+            plan.run(self.ens, &mut scratch, 1, Some(&flag), fault);
             scratch
         }));
         match outcome {
@@ -864,9 +866,7 @@ impl<'a> ServeFront<'a> {
             }
             Err(_) => {
                 // Fused sweep panicked: isolate — re-run every co-batched
-                // request alone so only the faulty one fails. The worker
-                // pool has already self-healed (panicked workers replaced
-                // their scratch).
+                // request alone so only the faulty one fails.
                 for (e, checkout) in entries.iter().zip(checkouts) {
                     self.isolated_fallbacks.fetch_add(1, Ordering::Relaxed);
                     self.solo_execute(e, checkout, fault);
@@ -893,7 +893,7 @@ impl<'a> ServeFront<'a> {
             None => CancelFlag::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            checkout.run(self.ens, self.cfg.threads, Some(&flag), fault)
+            checkout.run(self.ens, 1, Some(&flag), fault)
         }));
         let filled = match outcome {
             Ok(()) if flag.is_cancelled() => Err(DeepDbError::DeadlineExceeded),

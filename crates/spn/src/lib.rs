@@ -43,10 +43,9 @@
 //! * [`WorkerPool::sweep`] — the sweep routine: one fused sweep per
 //!   compiled model, leaf-value tables built into caller-owned
 //!   [`SweepTables`], tiles (expectation **and** MPE probes alike) run
-//!   inline — the one inline driver the evaluators use too — or
-//!   load-balanced across a **persistent worker pool**: workers keep
-//!   pinned evaluator scratch for their lifetime, claim tiles off an
-//!   atomic cursor, and park between jobs; the execution engine of
+//!   inline — the one inline driver the evaluators use too — or drained
+//!   from one tile queue by the calling thread and scoped helpers that are
+//!   joined before the sweep returns; the execution engine of
 //!   `deepdb-core`'s probe plans. Evaluation is `&self`-safe, and results
 //!   are bitwise identical for every thread count;
 //! * [`ActiveSet`] — query-scoped sub-DAG pruning: the arena caches each
@@ -59,6 +58,8 @@
 //! The SPN operates on an opaque `f64` matrix (NaN = NULL); the relational
 //! interpretation (tables, tuple factors, join indicators) lives in
 //! `deepdb-core`.
+
+#![forbid(unsafe_code)]
 
 mod arena;
 mod batch;

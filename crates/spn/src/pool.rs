@@ -1,5 +1,5 @@
-//! Fused multi-model sweeps: one routine, inline or across a persistent
-//! worker pool.
+//! Fused multi-model sweeps: one routine, inline or fanned out over scoped
+//! helper threads.
 //!
 //! Every sweep is a list of [`SweepJob`]s: per job the job-wide leaf-value
 //! tables are built into **caller-owned** [`SweepTables`], the probes are
@@ -7,39 +7,27 @@
 //! its outputs. Tiles run on the calling thread in the one inline driver
 //! ([`sweep_inline`]: no tile vector, no locks, no allocation once the
 //! tables and the thread's scratch have grown) — [`WorkerPool::sweep`] with
-//! `threads <= 1` and both evaluators go through it — or across the pool's
-//! workers when [`WorkerPool::sweep`] is given more threads. Cancellation and
-//! fault hooks are honoured at every tile on both branches. The pool keeps
-//! its workers alive across sweeps:
+//! `threads <= 1` and both evaluators go through it — or, when
+//! [`WorkerPool::sweep`] is given more threads, from one locked tile queue
+//! that the calling thread and up to `threads - 1` scoped helpers (never
+//! more helpers than tiles beyond the first) drain together. The scope
+//! joins every helper before the sweep returns, so tiles borrow the
+//! caller's data directly. Cancellation and fault hooks are honoured at
+//! every tile on both branches; a panic inside any tile is rethrown on the
+//! calling thread once every helper has been joined.
 //!
-//! * **pinned scratch** — each worker owns one [`WorkerScratch`] (a sweep
-//!   scratch per semiring) for its whole lifetime, so steady-state sweeps
-//!   allocate nothing. The submitting thread participates too, with a
-//!   thread-local scratch of its own.
-//! * **atomic tile cursor** — tiles are claimed by `fetch_add` on a shared
-//!   counter instead of popping a locked stack; claiming a tile is one
-//!   uncontended atomic op.
-//! * **park/unpark idling** — idle workers block on a condvar and are woken
-//!   only when a job is published; an idle pool burns no CPU.
-//!
-//! Jobs are published as epochs: the submitter installs a tile-claiming
-//! closure under the pool lock, wakes the workers, helps drain the cursor
-//! itself, then closes the job and waits until every worker that joined the
-//! epoch has retired before returning — which is what makes it sound to
-//! hand workers short-lived tile borrows. A panic inside any tile is caught,
-//! the job still drains, and the payload is rethrown on the submitting
-//! thread.
+//! The pool itself only parks the helpers' [`WorkerScratch`]es between
+//! sweeps, so steady-state sweeps do not regrow tile buffers.
 //!
 //! Determinism: a tile's result depends only on its own probes and its own
-//! scratch, never on which worker ran it or in what order, so every thread
+//! scratch, never on which thread ran it or in what order, so every thread
 //! count (including the inline `threads <= 1` branch) produces
 //! bitwise-identical results.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::arena::{ActiveSet, CompiledSpn};
@@ -48,8 +36,9 @@ use crate::kernel::{Expectation, LeafValueTable, MaxProduct, SweepScratch, NO_LE
 use crate::maxprod::{MpeOutcome, MpeProbe};
 use crate::SpnQuery;
 
-/// Upper bound on pool workers — a backstop against pathological `threads`
-/// arguments, far above any realistic sweep parallelism.
+/// Upper bound on threads draining one sweep — a backstop against
+/// pathological `threads` arguments, far above any realistic sweep
+/// parallelism.
 const MAX_WORKERS: usize = 32;
 
 /// Default worker-thread count for sweeps when callers pass `threads == 0`:
@@ -72,9 +61,9 @@ pub fn default_threads() -> usize {
 /// Every thread checks the flag before each tile it runs
 /// ([`WorkerScratch::run`]); once it reads cancelled, remaining tiles are
 /// *skipped*, leaving their outputs at the zeroed placeholder. The sweep
-/// still drains and joins normally — cancellation never tears the pool —
-/// but the outputs of a cancelled sweep are garbage, so callers must check
-/// [`CancelFlag::is_cancelled`] before trusting them.
+/// still drains and joins normally, but the outputs of a cancelled sweep
+/// are garbage, so callers must check [`CancelFlag::is_cancelled`] before
+/// trusting them.
 ///
 /// A flag can carry an optional deadline; deadline expiry is latched into
 /// the atomic on first observation so steady-state checks stay one relaxed
@@ -120,8 +109,8 @@ impl CancelFlag {
 }
 
 /// A fault injected at a tile boundary by a [`SweepJob::fault`] hook:
-/// either panic inside the claiming thread's tile (exercising the pool's
-/// catch-and-self-heal path) or sleep before evaluating (simulating a slow
+/// either panic inside the claiming thread's tile (exercising the sweep's
+/// panic propagation) or sleep before evaluating (simulating a slow
 /// model under deadline pressure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileFault {
@@ -244,7 +233,7 @@ impl<'a> SweepJob<'a> {
     }
 }
 
-/// A unit of worker work: one tile of one probe kind against one model,
+/// A unit of sweep work: one tile of one probe kind against one model,
 /// plus its job's cancel/fault hooks and prune set.
 struct Tile<'a> {
     kind: TileKind<'a>,
@@ -273,9 +262,9 @@ enum TileKind<'a> {
     ),
 }
 
-/// Per-worker evaluator scratch, pinned to its worker (or to the submitting
-/// thread) for the thread's lifetime so sweeps are allocation-free at
-/// steady state.
+/// Evaluator scratch of one thread draining tiles: the calling thread's
+/// lives in a thread-local, a helper's is parked in its [`WorkerPool`]
+/// between sweeps, so steady-state sweeps are allocation-free.
 #[derive(Default)]
 struct WorkerScratch {
     expect: SweepScratch,
@@ -324,8 +313,8 @@ impl WorkerScratch {
 }
 
 thread_local! {
-    /// The submitting thread's own pinned scratch — it runs inline sweeps
-    /// and drains pooled tiles alongside the workers.
+    /// The calling thread's own pinned scratch — it runs inline sweeps and
+    /// drains fanned-out tiles alongside the helpers.
     static SUBMITTER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
 }
 
@@ -342,109 +331,55 @@ pub(crate) fn sweep_inline<'a>(jobs: impl IntoIterator<Item = SweepJob<'a>>) {
     });
 }
 
-/// A tile-claiming closure: returns `false` once the cursor is exhausted.
-/// The `'static` is a checked lie — see the completion handshake in
-/// [`WorkerPool::run_tiles`].
-type Task = dyn Fn(&mut WorkerScratch) -> bool + Sync;
-
-/// Pool state a job transitions through, guarded by one mutex.
-struct JobState {
-    /// Monotonic job id; workers join an epoch at most once.
-    epoch: u64,
-    /// The open job's tile-claiming closure; `None` while idle/closed.
-    task: Option<&'static Task>,
-    /// Workers that observed this epoch and entered the job.
-    joined: usize,
-    /// Workers that finished the job (no further tile accesses).
-    completed: usize,
-    /// First panic payload raised inside a worker's tile, if any.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    job: Mutex<JobState>,
-    /// Workers park here between jobs.
-    work: Condvar,
-    /// The submitter parks here while draining stragglers.
-    done: Condvar,
-}
-
-impl Shared {
-    fn lock_job(&self) -> MutexGuard<'_, JobState> {
-        // Tile panics are caught before the lock is re-taken, so the state
-        // is never torn; recover instead of cascading the poison.
-        self.job.lock().unwrap_or_else(PoisonError::into_inner)
+/// Run tiles off `queue` until it is empty.
+fn drain(queue: &Mutex<std::vec::IntoIter<Tile<'_>>>, scratch: &mut WorkerScratch) {
+    loop {
+        // Take the tile in its own statement so the guard is released
+        // before the tile runs. Nothing under the lock can panic, so the
+        // queue is never poisoned mid-pop.
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(mut tile) = next else { return };
+        scratch.run(&mut tile);
     }
 }
 
-/// Raw tile-slice pointer smuggled into the job closure. Safety argument in
-/// [`WorkerPool::run_tiles`].
-struct TilePtr(*mut Tile<'static>);
-unsafe impl Send for TilePtr {}
-unsafe impl Sync for TilePtr {}
-
-impl TilePtr {
-    /// Accessor (rather than a public field) so closures capture the whole
-    /// `Send + Sync` wrapper, not the bare pointer field.
-    fn get(&self) -> *mut Tile<'static> {
-        self.0
-    }
-}
-
-/// A persistent sweep worker pool. Workers are spawned lazily on first
-/// parallel use (up to the requested thread count), park between jobs, and
-/// live until the pool is dropped. Dropping the pool shuts the workers down.
+/// The sweep fan-out. It owns no threads: a threaded [`WorkerPool::sweep`]
+/// spawns scoped helpers and joins them before returning. What it keeps
+/// across sweeps is the helpers' evaluator scratch, so tile buffers are
+/// not regrown on every call.
+#[derive(Default)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Serializes submissions: one fused sweep owns the workers at a time.
-    submit: Mutex<()>,
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Scratch of helpers that finished cleanly, for the next sweep's
+    /// helpers to take.
+    idle: Mutex<Vec<WorkerScratch>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let workers = self.workers.lock().map(|w| w.len()).unwrap_or(0);
         f.debug_struct("WorkerPool")
-            .field("workers", &workers)
+            .field("idle", &self.lock_idle().len())
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// An empty pool: no threads until the first parallel sweep asks for
-    /// them.
+    /// An empty pool: no scratch until the first threaded sweep parks some.
     pub fn new() -> Self {
-        Self {
-            shared: Arc::new(Shared {
-                job: Mutex::new(JobState {
-                    epoch: 0,
-                    task: None,
-                    joined: 0,
-                    completed: 0,
-                    panic: None,
-                    shutdown: false,
-                }),
-                work: Condvar::new(),
-                done: Condvar::new(),
-            }),
-            workers: Mutex::new(Vec::new()),
-            submit: Mutex::new(()),
-        }
+        Self::default()
+    }
+
+    fn lock_idle(&self) -> MutexGuard<'_, Vec<WorkerScratch>> {
+        // Only whole pushes and pops run under the lock; recover instead of
+        // cascading a poison.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Execute one fused sweep per job — the single sweep routine. With
     /// `threads <= 1` every job's tiles run on the calling thread as they
-    /// are cut; otherwise the tiles of **all** jobs are load-balanced across
-    /// up to `threads` threads (the submitting thread included).
-    /// `threads == 0` means [`default_threads`]. Results are bitwise
-    /// identical for every thread count.
+    /// are cut; otherwise the tiles of **all** jobs are shared out over up
+    /// to `threads` threads (the calling thread included). `threads == 0`
+    /// means [`default_threads`]. Results are bitwise identical for every
+    /// thread count.
     pub fn sweep<'a>(&self, jobs: impl IntoIterator<Item = SweepJob<'a>>, threads: usize) {
         let threads = if threads == 0 {
             default_threads()
@@ -459,149 +394,39 @@ impl WorkerPool {
         for job in jobs {
             job.into_tiles(|tile| tiles.push(tile));
         }
-        if !tiles.is_empty() {
-            self.run_tiles(&mut tiles, threads);
-        }
-    }
-
-    /// Drain `tiles` across the submitting thread plus up to `threads - 1`
-    /// pool workers.
-    fn run_tiles(&self, tiles: &mut [Tile<'_>], threads: usize) {
-        let n = tiles.len();
-        let helpers = threads.min(MAX_WORKERS).min(n) - 1;
-
-        let _submit = self.submit.lock().unwrap_or_else(PoisonError::into_inner);
-        self.ensure_workers(helpers);
-
-        let cursor = AtomicUsize::new(0);
-        // SAFETY (lifetime erasure): workers only reach the tiles through
-        // `task` below. The closure hands each claimed index to exactly one
-        // thread (`fetch_add`), so tile accesses never alias; and before
-        // this function returns — whether the submitter's own drain panics
-        // or not — the job is closed and the submitter blocks until
-        // `completed == joined`, i.e. until no worker can touch `task` or
-        // the tiles again. The erased borrows therefore never outlive the
-        // data they point to.
-        let tiles_ptr = TilePtr(tiles.as_mut_ptr().cast());
-        let task = move |scratch: &mut WorkerScratch| -> bool {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return false;
-            }
-            let tile = unsafe { &mut *tiles_ptr.get().add(i) };
-            scratch.run(tile);
-            true
-        };
-        let task_ref: &Task = &task;
-        let task_static: &'static Task = unsafe { std::mem::transmute(task_ref) };
-
-        {
-            let mut job = self.shared.lock_job();
-            job.epoch += 1;
-            job.task = Some(task_static);
-            job.joined = 0;
-            job.completed = 0;
-            job.panic = None;
-        }
-        self.shared.work.notify_all();
-
-        // The submitter drains tiles too, with its own pinned scratch. A
-        // panic here must not skip the close-and-wait handshake, so it is
-        // caught and rethrown after the stragglers retire.
-        let own = catch_unwind(AssertUnwindSafe(|| {
-            SUBMITTER_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                while task(scratch) {}
-            })
-        }));
-
-        // Close the job and wait for every joined worker to retire.
-        let worker_panic = {
-            let mut job = self.shared.lock_job();
-            job.task = None;
-            while job.completed < job.joined {
-                job = self
-                    .shared
-                    .done
-                    .wait(job)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            job.panic.take()
-        };
-        if let Err(payload) = own {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = worker_panic {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Grow the worker set to at least `want` threads (never shrinks;
-    /// capped at [`MAX_WORKERS`]).
-    fn ensure_workers(&self, want: usize) {
-        let want = want.min(MAX_WORKERS);
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        while workers.len() < want {
-            let shared = Arc::clone(&self.shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("deepdb-sweep-{}", workers.len()))
-                .spawn(move || worker_loop(shared))
-                .expect("spawn sweep worker");
-            workers.push(handle);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.lock_job().shutdown = true;
-        self.shared.work.notify_all();
-        let workers =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in workers {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Body of one pool worker: park until a job epoch opens, drain its tile
-/// cursor with the pinned scratch, report completion, repeat.
-fn worker_loop(shared: Arc<Shared>) {
-    let mut scratch = WorkerScratch::default();
-    let mut seen = 0u64;
-    loop {
-        let task = {
-            let mut job = shared.lock_job();
-            loop {
-                if job.shutdown {
-                    return;
-                }
-                if job.epoch != seen {
-                    if let Some(task) = job.task {
-                        seen = job.epoch;
-                        job.joined += 1;
-                        break task;
+        let helpers = threads.min(MAX_WORKERS).min(tiles.len()).saturating_sub(1);
+        let queue = Mutex::new(tiles.into_iter());
+        let panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    let mut scratch = self.lock_idle().pop().unwrap_or_default();
+                    let queue = &queue;
+                    scope.spawn(move || {
+                        drain(queue, &mut scratch);
+                        scratch
+                    })
+                })
+                .collect();
+            // A panic on the calling thread must not skip the joins, so it
+            // is caught and rethrown after them.
+            let own = catch_unwind(AssertUnwindSafe(|| {
+                SUBMITTER_SCRATCH.with(|s| drain(&queue, &mut s.borrow_mut()))
+            }));
+            let mut panic = own.err();
+            for handle in handles {
+                match handle.join() {
+                    Ok(scratch) => self.lock_idle().push(scratch),
+                    // The helper's scratch unwound with it.
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
                     }
-                    // Epoch already closed before this worker woke: skip it.
-                    seen = job.epoch;
                 }
-                job = shared
-                    .work
-                    .wait(job)
-                    .unwrap_or_else(PoisonError::into_inner);
             }
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| while task(&mut scratch) {}));
-        let mut job = shared.lock_job();
-        if let Err(payload) = result {
-            // The scratch may be mid-update; replace it wholesale.
-            scratch = WorkerScratch::default();
-            if job.panic.is_none() {
-                job.panic = Some(payload);
-            }
+            panic
+        });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-        job.completed += 1;
-        shared.done.notify_all();
     }
 }
 
@@ -609,6 +434,8 @@ fn worker_loop(shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::{ColumnMeta, DataView, LeafPred, Spn, SpnParams};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     fn model() -> Spn {
         let cols = vec![
@@ -645,19 +472,16 @@ mod tests {
         let pool = WorkerPool::new();
         let want = clean_sweep(&pool, &compiled, &queries, 1);
         assert!(
-            pool.workers.lock().unwrap().is_empty(),
-            "the inline branch spawns nothing"
+            pool.lock_idle().is_empty(),
+            "the inline branch parks no scratch"
         );
         for round in 0..3 {
             let got = clean_sweep(&pool, &compiled, &queries, 4);
             assert_eq!(got, want, "round {round}");
         }
-        // Lazy spawn: parallel sweeps grew the pool, but only to helpers-1.
-        let spawned = pool.workers.lock().unwrap().len();
-        assert!(
-            (1..=3).contains(&spawned),
-            "expected 1..=3 helpers, got {spawned}"
-        );
+        // Four tiles at four threads take three helpers; every round reuses
+        // the three scratches the first one parked instead of adding more.
+        assert_eq!(pool.lock_idle().len(), 3);
     }
 
     #[test]
@@ -771,7 +595,7 @@ mod tests {
     }
 
     /// Hooks fire on the inline branch (`threads == 1`) exactly as they do
-    /// across the pool.
+    /// on the helpers.
     #[test]
     fn repeated_injected_panics_never_poison_later_sweeps() {
         let spn = model();
@@ -786,7 +610,7 @@ mod tests {
         for threads in [1, 4] {
             for round in 0..5 {
                 // Panic on every third claimed tile, from whichever thread
-                // claims it (submitter included).
+                // claims it (the calling thread included).
                 let hits = AtomicUsize::new(0);
                 let fault = move || {
                     if hits.fetch_add(1, Ordering::Relaxed).is_multiple_of(3) {
@@ -904,16 +728,8 @@ mod tests {
         );
         let panicked = catch_unwind(AssertUnwindSafe(|| pool.sweep([job], 4))).is_err();
         assert!(panicked);
-        drop(pool); // must join every worker despite the mid-panic state
-    }
-
-    #[test]
-    fn dropping_a_pool_joins_its_workers() {
-        let spn = model();
-        let compiled = spn.compile();
-        let queries: Vec<SpnQuery> = (0..2 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
-        let pool = WorkerPool::new();
-        clean_sweep(&pool, &compiled, &queries, 2);
-        drop(pool); // must not hang or leak threads
+        // Every helper panicked, so none parked its scratch.
+        assert!(pool.lock_idle().is_empty());
+        drop(pool); // the pool survives drop after a panicked sweep
     }
 }

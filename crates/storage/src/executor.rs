@@ -500,6 +500,23 @@ mod tests {
     }
 
     #[test]
+    fn malformed_group_by_and_aggregate_columns_are_errors() {
+        let db = paper_customer_order();
+        let (c, o) = ids(&db);
+        let width = db.table(c).schema().n_columns();
+        for q in [
+            Query::count(vec![c]).group(o, 0),
+            Query::count(vec![c]).group(c, width),
+            Query::count(vec![c]).aggregate(Aggregate::Avg(ColumnRef {
+                table: c,
+                column: width,
+            })),
+        ] {
+            assert!(execute(&db, &q).is_err(), "{q:?}");
+        }
+    }
+
+    #[test]
     fn group_by_region() {
         let db = paper_customer_order();
         let (c, _) = ids(&db);

@@ -76,8 +76,10 @@ impl Query {
         }
     }
 
-    /// Validate that all referenced tables/columns exist and that the join is
-    /// a connected subtree of the FK graph.
+    /// Validate that all referenced tables/columns exist — every predicate,
+    /// the aggregate input and every GROUP BY column names a column of a
+    /// table in the FROM list — and that the join is a connected subtree of
+    /// the FK graph.
     pub fn validate(&self, db: &Database) -> Result<(), StorageError> {
         if self.tables.is_empty() {
             return Err(StorageError::InvalidQuery("query has no tables".into()));
@@ -87,25 +89,31 @@ impl Query {
                 return Err(StorageError::UnknownTable(format!("table id {t}")));
             }
         }
-        for p in &self.predicates {
-            if !self.tables.contains(&p.table) {
+        let column_refs = self
+            .predicates
+            .iter()
+            .map(|p| ("predicate", p.table, p.column))
+            .chain(
+                self.aggregate_input()
+                    .map(|c| ("aggregate input", c.table, c.column)),
+            )
+            .chain(
+                self.group_by
+                    .iter()
+                    .map(|g| ("GROUP BY", g.table, g.column)),
+            );
+        for (role, table, column) in column_refs {
+            if !self.tables.contains(&table) {
                 return Err(StorageError::InvalidQuery(format!(
-                    "predicate on table {} not in FROM list",
-                    p.table
+                    "{role} on table {table} not in FROM list"
                 )));
             }
-            if p.column >= db.table(p.table).schema().n_columns() {
+            let schema = db.table(table).schema();
+            if column >= schema.n_columns() {
                 return Err(StorageError::UnknownColumn {
-                    table: db.table(p.table).schema().name().to_string(),
-                    column: format!("id {}", p.column),
+                    table: schema.name().to_string(),
+                    column: format!("id {column}"),
                 });
-            }
-        }
-        if let Some(c) = self.aggregate_input() {
-            if !self.tables.contains(&c.table) {
-                return Err(StorageError::InvalidQuery(
-                    "aggregate input table not in FROM list".into(),
-                ));
             }
         }
         // Connectivity check via BFS over FK edges restricted to the tables.
@@ -169,6 +177,35 @@ mod tests {
         let o = db.table_id("orders").unwrap();
         let q = Query::count(vec![c]).filter(o, 2, PredOp::IsNull);
         assert!(q.validate(&db).is_err());
+    }
+
+    #[test]
+    fn group_by_and_aggregate_columns_are_checked() {
+        let db = paper_customer_order();
+        let c = db.table_id("customer").unwrap();
+        let o = db.table_id("orders").unwrap();
+        let width = db.table(c).schema().n_columns();
+        // GROUP BY on a table outside FROM.
+        let q = Query::count(vec![c]).group(o, 0);
+        assert!(matches!(
+            q.validate(&db),
+            Err(StorageError::InvalidQuery(_))
+        ));
+        // GROUP BY column out of range.
+        let q = Query::count(vec![c]).group(c, width);
+        assert!(matches!(
+            q.validate(&db),
+            Err(StorageError::UnknownColumn { .. })
+        ));
+        // Aggregate input column out of range.
+        let q = Query::count(vec![c]).aggregate(Aggregate::Sum(ColumnRef {
+            table: c,
+            column: width,
+        }));
+        assert!(matches!(
+            q.validate(&db),
+            Err(StorageError::UnknownColumn { .. })
+        ));
     }
 
     #[test]

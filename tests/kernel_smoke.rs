@@ -1,13 +1,19 @@
 //! Tier-1 guard for the SPN sweep kernels: batched expectation and
 //! max-product evaluation on the compiled arena agree with the recursive
 //! oracle bit for bit — at batch sizes on both sides of the sweep tile,
-//! with and without sub-DAG pruning, and after in-place inserts.
+//! with and without sub-DAG pruning, and after in-place inserts. The
+//! threaded sweep agrees with the inline one, surfaces a helper's panic on
+//! the calling thread, and honours a cancel flag.
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
 
 use deepdb::spn::{
-    BatchEvaluator, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, MaxProductEvaluator,
-    MpeProbe, Spn, SpnParams, SpnQuery,
+    BatchEvaluator, CancelFlag, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred,
+    MaxProductEvaluator, MpeProbe, Spn, SpnParams, SpnQuery, SweepJob, SweepTables, TileFault,
+    TileFaultFn, WorkerPool,
 };
 
 /// One- to five-probe batches (a cardinality probe bundle is one to three)
@@ -132,16 +138,18 @@ fn check(spn: &mut Spn, arena: &CompiledSpn, label: &str) {
     }
 }
 
-#[test]
-fn compiled_sweeps_match_the_recursive_oracle_bitwise() {
-    let shallow = SpnParams::default();
-    let deep = SpnParams {
+fn deep_params() -> SpnParams {
+    SpnParams {
         min_instance_ratio: 0.01,
         ..SpnParams::default()
-    };
+    }
+}
+
+#[test]
+fn compiled_sweeps_match_the_recursive_oracle_bitwise() {
     for (label, mut spn) in [
-        ("shallow", learn(300, 3, &shallow)),
-        ("deep", learn(800, 8, &deep)),
+        ("shallow", learn(300, 3, &SpnParams::default())),
+        ("deep", learn(800, 8, &deep_params())),
     ] {
         let mut arena = spn.compile();
         assert!(
@@ -155,4 +163,131 @@ fn compiled_sweeps_match_the_recursive_oracle_bitwise() {
         }
         check(&mut spn, &arena, &format!("{label} after inserts"));
     }
+}
+
+/// One job per (model, batch) pair, all in one job list, with shared hooks.
+fn jobs<'a>(
+    models: &'a [CompiledSpn],
+    batches: &'a [Vec<SpnQuery>],
+    outs: &'a mut [Vec<f64>],
+    tables: &'a mut [SweepTables],
+    cancel: Option<&'a CancelFlag>,
+    fault: Option<&'a TileFaultFn<'a>>,
+) -> Vec<SweepJob<'a>> {
+    outs.iter_mut()
+        .zip(tables)
+        .enumerate()
+        .map(|(i, (out, tables))| SweepJob {
+            spn: &models[i / batches.len()],
+            queries: &batches[i % batches.len()],
+            out,
+            mpe: &[],
+            mpe_out: &mut [],
+            tables,
+            cancel,
+            fault,
+            active: None,
+        })
+        .collect()
+}
+
+fn bits(outs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    outs.iter()
+        .map(|o| o.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn threaded_sweeps_match_inline_and_surface_helper_faults() {
+    let models = [
+        learn(300, 3, &SpnParams::default()).compile(),
+        learn(800, 8, &deep_params()).compile(),
+    ];
+    let qs = queries();
+    // 65 and 130 probes: three and five tiles per job, sixteen in all.
+    let batches: Vec<Vec<SpnQuery>> = [65, 130]
+        .into_iter()
+        .map(|n| (0..n).map(|i| qs[i % qs.len()].clone()).collect())
+        .collect();
+    let zeroed = || -> Vec<Vec<f64>> {
+        models
+            .iter()
+            .flat_map(|_| batches.iter().map(|b| vec![0.0; b.len()]))
+            .collect()
+    };
+    let mut ev = BatchEvaluator::new();
+    let want: Vec<Vec<u64>> = models
+        .iter()
+        .flat_map(|m| {
+            batches
+                .iter()
+                .map(|b| ev.evaluate(m, b, None))
+                .collect::<Vec<_>>()
+        })
+        .map(|o| o.iter().map(|v| v.to_bits()).collect())
+        .collect();
+
+    let pool = WorkerPool::new();
+    let mut tables = vec![SweepTables::default(); want.len()];
+    for threads in [1, 2, 4] {
+        let mut outs = zeroed();
+        pool.sweep(
+            jobs(&models, &batches, &mut outs, &mut tables, None, None),
+            threads,
+        );
+        assert_eq!(bits(&outs), want, "{threads} threads");
+    }
+
+    // Make the faulty tile land on the helper: the calling thread holds its
+    // first tile until the helper has taken one (a helper that never drains
+    // releases it after the timeout, and then no tile panics).
+    let caller = std::thread::current().id();
+    let released = (Mutex::new(false), Condvar::new());
+    let fault = || {
+        let (lock, cv) = &released;
+        let mut released = lock.lock().unwrap();
+        if std::thread::current().id() == caller {
+            released = cv
+                .wait_timeout_while(released, Duration::from_secs(5), |r| !*r)
+                .unwrap()
+                .0;
+            *released = true;
+            None
+        } else {
+            *released = true;
+            cv.notify_all();
+            Some(TileFault::Panic)
+        }
+    };
+    let mut outs = zeroed();
+    let job_list = jobs(
+        &models,
+        &batches,
+        &mut outs,
+        &mut tables,
+        None,
+        Some(&fault),
+    );
+    let panicked = catch_unwind(AssertUnwindSafe(|| pool.sweep(job_list, 2))).is_err();
+    assert!(
+        panicked,
+        "the helper's tile panic must surface on the caller"
+    );
+    // The next sweep on the same pool and tables is bitwise clean.
+    let mut outs = zeroed();
+    pool.sweep(
+        jobs(&models, &batches, &mut outs, &mut tables, None, None),
+        2,
+    );
+    assert_eq!(bits(&outs), want, "after a panicked sweep");
+
+    // A pre-cancelled sweep skips every tile and still returns.
+    let flag = CancelFlag::new();
+    flag.cancel();
+    let mut outs = zeroed();
+    pool.sweep(
+        jobs(&models, &batches, &mut outs, &mut tables, Some(&flag), None),
+        2,
+    );
+    assert!(outs.iter().flatten().all(|&v| v == 0.0));
 }
