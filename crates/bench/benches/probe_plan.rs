@@ -70,11 +70,10 @@ fn grouped_fixture() -> (Database, Ensemble, usize) {
         },
         ..EnsembleParams::default()
     };
-    let mut ens = EnsembleBuilder::new(&db)
+    let ens = EnsembleBuilder::new(&db)
         .params(params)
         .build()
         .expect("ensemble");
-    ens.recompile_models();
     let model_nodes = ens.rspns()[0].model_size();
     (db, ens, model_nodes)
 }

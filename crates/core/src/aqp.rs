@@ -16,8 +16,7 @@
 //! [`crate::combine::CombinePlan`] bundles on the same shared plan — the
 //! one-sweep-per-member invariant holds for multi-RSPN GROUP BY too.
 //!
-//! The whole query path runs on `&Ensemble`; structural recompilation is an
-//! explicit maintenance call ([`Ensemble::recompile_models`]).
+//! The whole query path runs on `&Ensemble`.
 
 use deepdb_storage::{Aggregate, Database, Domain, Query, Value};
 

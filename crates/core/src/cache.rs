@@ -13,9 +13,9 @@
 //! # Invalidation
 //!
 //! The cache carries **one epoch stamp**. Every access presents the
-//! ensemble's **plan epoch** ([`Ensemble::plan_epoch`], bumped by
-//! `recompile_models` and every coverage-/count-changing maintenance
-//! operation); the first access at a newer epoch drops every plan entry and
+//! ensemble's **plan epoch** ([`Ensemble::plan_epoch`], bumped by every
+//! update and every coverage-/count-changing maintenance operation); the
+//! first access at a newer epoch drops every plan entry and
 //! active set together and advances the stamp, which only moves forward — a
 //! late reader of an older epoch finds nothing and inserts nothing. Working
 //! sets die with their entry, so dead epochs pin no scratch. A
@@ -254,10 +254,10 @@ impl PlanCache {
 /// once per `(member, columns)` shape per plan epoch and shared via `Arc`.
 /// Sets live in a side table of the [`PlanCache`] (so they never evict plan
 /// artifacts and their lookups don't skew plan hit/miss stats) under the
-/// cache's one epoch stamp: any maintenance operation (recompile, insert,
-/// delete, join-count refresh) bumps the epoch, and the first access at a
-/// new epoch drops every cached set along with the plans — which matters
-/// because recompiles may change the arena's node count and layout.
+/// cache's one epoch stamp: any maintenance operation (insert, delete,
+/// join-count refresh, [`Ensemble::invalidate_plans`]) bumps the epoch, and
+/// the first access at a new epoch drops every cached set along with the
+/// plans.
 ///
 /// **Bitwise contract**: a sweep pruned by the returned set is bitwise
 /// identical to the full sweep for every probe whose constrained and target

@@ -32,9 +32,8 @@
 //! plans included — into one plan. The retired eager Case-3 loop survives
 //! only as the differential-test oracle [`crate::combine::multi_rspn_count`].
 //!
-//! All query entry points take `&Ensemble`: the compiled engines are kept
-//! fresh in place by the update path, and structural recompilation is an
-//! explicit maintenance call ([`Ensemble::recompile_models`]).
+//! All query entry points take `&Ensemble`: the update path patches the
+//! compiled engines in place, so they are never stale.
 
 use std::collections::BTreeSet;
 

@@ -292,10 +292,10 @@ pub struct Ensemble {
     /// reuse the helper scratch it parks between calls. Runtime-only, not
     /// part of snapshots.
     pool: WorkerPool,
-    /// Plan-cache invalidation epoch: bumped by [`Ensemble::recompile_models`]
-    /// and every coverage-/count-changing maintenance operation. Every cache
-    /// key and [`crate::PreparedQuery`] embeds the epoch at creation, so
-    /// stale plans can never be reused. Atomic so concurrent serving can
+    /// Plan-cache invalidation epoch: bumped by every update and every
+    /// coverage-/count-changing maintenance operation. Every cache key and
+    /// [`crate::PreparedQuery`] embeds the epoch at creation, so stale plans
+    /// can never be reused. Atomic so concurrent serving can
     /// observe (and [`Ensemble::invalidate_plans`] can bump) it through
     /// `&Ensemble`. Runtime-only, not part of snapshots.
     plan_epoch: AtomicU64,
@@ -434,28 +434,6 @@ impl Ensemble {
         self.rspns.iter().map(Rspn::model_size).sum()
     }
 
-    /// Recompile any RSPN arena engine that was structurally invalidated —
-    /// the **explicit maintenance entry point** of the engine lifecycle.
-    /// Updates ([`Ensemble::apply_insert`] / [`Ensemble::apply_delete`] and
-    /// the batched [`Ensemble::apply_insert_batch`]) patch the compiled
-    /// arenas **in place**, so in steady state this is a no-op; call it
-    /// after an operation that reports structural invalidation (future
-    /// drift-driven adaptation, external model surgery). The query surface
-    /// (`compile`/`aqp`/`ml`) is entirely `&Ensemble` and never recompiles
-    /// behind your back.
-    ///
-    /// **Epoch contract:** recompilation may change model structure, so this
-    /// bumps the plan epoch — every cached plan artifact and outstanding
-    /// [`crate::PreparedQuery`] becomes stale (the latter fail their next
-    /// `execute` with [`DeepDbError::StalePlan`]; the cache drops every
-    /// artifact on its first access at the new epoch).
-    pub fn recompile_models(&mut self) {
-        for rspn in &mut self.rspns {
-            rspn.ensure_compiled();
-        }
-        self.bump_plan_epoch();
-    }
-
     /// Cap the worker threads used to execute probe plans; `0` restores the
     /// default (available parallelism).
     pub fn set_probe_threads(&mut self, threads: usize) {
@@ -481,10 +459,9 @@ impl Ensemble {
         &self.pool
     }
 
-    /// Current plan-cache invalidation epoch. Bumped by
-    /// [`Ensemble::recompile_models`] and once per update/maintenance call;
-    /// the plan cache is stamped with it and [`crate::PreparedQuery`]
-    /// handles embed it.
+    /// Current plan-cache invalidation epoch. Bumped once per
+    /// update/maintenance call; the plan cache is stamped with it and
+    /// [`crate::PreparedQuery`] handles embed it.
     pub fn plan_epoch(&self) -> u64 {
         self.plan_epoch.load(Ordering::Acquire)
     }
@@ -497,9 +474,9 @@ impl Ensemble {
     /// cached plan artifact and outstanding [`crate::PreparedQuery`] without
     /// touching the models — the escape hatch for external model surgery
     /// and the chaos harness's mid-flight "maintenance landed" injection.
-    /// Regular maintenance ([`Ensemble::recompile_models`], the update
-    /// entry points) bumps the epoch itself; calling this as well is
-    /// harmless (plans just go stale twice).
+    /// Regular maintenance (the update entry points) bumps the epoch
+    /// itself; calling this as well is harmless (plans just go stale
+    /// twice).
     pub fn invalidate_plans(&self) {
         self.bump_plan_epoch();
     }
@@ -532,9 +509,8 @@ impl Ensemble {
     /// Insert a row into the database **and** absorb it into every affected
     /// RSPN (paper Algorithm 1 + §6.1 update protocol). The row is appended
     /// to `db` first; the model update follows, patching each affected
-    /// member's compiled arena in place — the engines are never stale, so an
-    /// interleaved update/query stream pays O(tree depth) per tuple instead
-    /// of a full recompile per query.
+    /// member's arena in place, so an interleaved update/query stream pays
+    /// O(tree depth) per tuple.
     pub fn apply_insert(
         &mut self,
         db: &mut Database,

@@ -35,7 +35,7 @@ pub enum DeepDbError {
     /// Ensemble construction failed.
     Learning(String),
     /// A [`PreparedQuery`](crate::PreparedQuery) outlived its plan epoch:
-    /// the ensemble was recompiled or absorbed updates since `prepare`, so
+    /// the ensemble absorbed updates or other maintenance since `prepare`, so
     /// the frozen probe artifact may no longer match the models. Re-prepare
     /// against the current ensemble. **Retryable** — the serving front-end
     /// re-prepares and retries once before surfacing this.
@@ -82,7 +82,7 @@ impl std::fmt::Display for DeepDbError {
             Self::StalePlan => write!(
                 f,
                 "prepared query is stale: the ensemble's plan epoch advanced \
-                 (recompile or update since prepare); re-prepare required"
+                 (update or maintenance since prepare); re-prepare required"
             ),
             Self::Overloaded => write!(
                 f,

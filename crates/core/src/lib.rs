@@ -16,8 +16,7 @@
 //! * [`compile`] — probabilistic query compilation of COUNT/SUM/AVG
 //!   (+ GROUP BY) queries into products of expectations over the ensemble,
 //!   covering the paper's Cases 1–3 including Theorems 1 and 2 (§4). All
-//!   query entry points take `&Ensemble`; structural recompilation is an
-//!   explicit maintenance call ([`Ensemble::recompile_models`]).
+//!   query entry points take `&Ensemble`.
 //! * [`combine`] — symbolic Case-3 planning: when no single RSPN covers the
 //!   query, a `CombinePlan` walks the FK graph once, registers **all**
 //!   extension steps' fraction bundles on the caller's probe plan, and

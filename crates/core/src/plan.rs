@@ -230,10 +230,7 @@ impl ProbePlan {
 
     /// Execute the plan with fresh scratch: one fused arena sweep per
     /// touched member, tiles parallelized over the ensemble's probe-thread
-    /// budget. Every member's engine must be compiled — updates patch the
-    /// arenas in place, so this holds in steady state; after a structural
-    /// invalidation run the explicit maintenance call
-    /// [`Ensemble::recompile_models`] first.
+    /// budget.
     pub fn execute(&self, ens: &Ensemble) -> ProbeResults {
         self.execute_with_threads(ens, 0)
     }

@@ -28,15 +28,11 @@ const MAX_GROUP_DISTINCT: usize = 4096;
 /// metadata.
 #[derive(Debug, Clone)]
 pub struct Rspn {
-    spn: Spn,
-    /// Arena-compiled form of `spn` — the engine every expectation query
-    /// actually runs against. Updates patch it **in place** (lockstep with
-    /// the tree, O(depth) per tuple), so it is never stale on the hot path;
-    /// [`Rspn::ensure_compiled`] remains as a structural-change escape
-    /// hatch. Evaluation itself is `&self` so probe plans can sweep members
-    /// from worker threads.
+    /// The learned SPN in arena form — the model itself: every query sweeps
+    /// it, updates patch it **in place** (O(depth) per tuple), snapshots are
+    /// written from it. Evaluation is `&self` so probe plans can sweep
+    /// members from worker threads.
     compiled: CompiledSpn,
-    compiled_dirty: bool,
     tables: Vec<TableId>,
     columns: Vec<JoinColumnMeta>,
     full_join_count: u64,
@@ -104,30 +100,10 @@ impl Rspn {
             })
             .collect();
 
-        let view = DataView::new(&cols, &meta);
-        let spn = Spn::learn(view, params);
+        // The learner's tree is only a build step: compile it and drop it.
+        let compiled = Spn::learn(DataView::new(&cols, &meta), params).compile();
 
-        // Column lookup maps.
-        let mut data_col = HashMap::new();
-        let mut indicator_col = HashMap::new();
-        let mut factor_col = HashMap::new();
-        let mut internal_edges = Vec::new();
-        for (i, c) in columns.iter().enumerate() {
-            match c.role {
-                JoinColumnRole::Data { table, col } => {
-                    data_col.insert((table, col), i);
-                }
-                JoinColumnRole::Indicator { table } => {
-                    indicator_col.insert(table, i);
-                }
-                JoinColumnRole::TupleFactor { fk, clamped } => {
-                    factor_col.insert(fk, i);
-                    if clamped {
-                        internal_edges.push(fk);
-                    }
-                }
-            }
-        }
+        let (data_col, indicator_col, factor_col, internal_edges) = column_maps(&columns);
 
         // Distinct values + column stats from the training sample.
         let mut distincts: HashMap<usize, BTreeSet<u64>> = HashMap::new();
@@ -151,13 +127,7 @@ impl Rspn {
             };
             col_stats.push((mean, var.sqrt()));
             if columns[i].discrete && matches!(columns[i].role, JoinColumnRole::Data { .. }) {
-                let set: BTreeSet<u64> = col
-                    .iter()
-                    .filter(|v| v.is_finite())
-                    .map(|&v| v.to_bits())
-                    .take(MAX_GROUP_DISTINCT * 4)
-                    .collect();
-                if set.len() <= MAX_GROUP_DISTINCT {
+                if let Some(set) = distinct_domain(col) {
                     distincts.insert(i, set);
                 }
             }
@@ -168,11 +138,8 @@ impl Rspn {
         let rows: Vec<u32> = (0..sample.n_samples as u32).collect();
         let attr_rdc = deepdb_spn::rdc::pairwise_rdc(&refs, &rows, 1500, &params.rdc);
 
-        let compiled = spn.compile();
         Ok(Self {
-            spn,
             compiled,
-            compiled_dirty: false,
             tables: sample.tables.clone(),
             columns,
             full_join_count: sample.full_join_count,
@@ -227,12 +194,12 @@ impl Rspn {
 
     /// Number of SPN training rows (grows/shrinks with updates).
     pub fn n_training(&self) -> u64 {
-        self.spn.n_rows()
+        self.compiled.n_rows()
     }
 
     /// SPN node count (diagnostics / cost accounting).
     pub fn model_size(&self) -> usize {
-        self.spn.size()
+        self.compiled.n_nodes()
     }
 
     pub fn columns(&self) -> &[JoinColumnMeta] {
@@ -269,43 +236,15 @@ impl Rspn {
         SpnQuery::new(self.columns.len())
     }
 
-    /// Recompile the arena engine if something invalidated it. Since
-    /// inserts/deletes patch the arena in place, this is a **structural
-    /// escape hatch** (future structure adaptation, e.g. leaf splitting on
-    /// drift), not part of the steady-state update path — on the hot path it
-    /// is a no-op, which keeps [`Rspn::probe_passes`] counters alive across
-    /// update streams. The query surface in `compile`/`aqp`/`ml` is entirely
-    /// `&Ensemble` and never calls this; structural maintenance goes through
-    /// the explicit [`crate::Ensemble::recompile_models`] entry point.
-    pub fn ensure_compiled(&mut self) {
-        if self.compiled_dirty {
-            self.compiled = self.spn.compile();
-            self.compiled_dirty = false;
-        }
-    }
-
-    /// Whether something invalidated the compiled engine (never set by the
-    /// in-place update path; reserved for structural changes).
-    pub fn needs_recompile(&self) -> bool {
-        self.compiled_dirty
-    }
-
-    /// The compiled arena engine. Panics if updates left it stale — callers
-    /// must run [`Rspn::ensure_compiled`] (or
-    /// [`crate::Ensemble::recompile_models`]) first; evaluation deliberately
-    /// cannot recompile behind a shared reference.
+    /// The compiled arena engine every probe sweeps.
     pub(crate) fn engine(&self) -> &CompiledSpn {
-        assert!(
-            !self.compiled_dirty,
-            "RSPN arena engine is stale after updates; call ensure_compiled()/recompile_models() \
-             before evaluating"
-        );
         &self.compiled
     }
 
     /// Fused arena sweeps executed against this member's compiled engine so
     /// far (diagnostics; lets tests assert probe plans touch each member
-    /// exactly once per query). Resets when updates force a recompile.
+    /// exactly once per query). Updates patch the engine in place, so the
+    /// count survives them.
     pub fn probe_passes(&self) -> u64 {
         self.compiled.sweep_count()
     }
@@ -444,7 +383,7 @@ impl Rspn {
     /// Serialize for ensemble snapshots (lookup maps are rebuilt on load).
     pub(crate) fn write_to(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         use deepdb_spn::wire::*;
-        self.spn.write_to(w)?;
+        self.compiled.write_to(w)?;
         write_usizes(w, &self.tables)?;
         write_u32(w, self.columns.len() as u32)?;
         for c in &self.columns {
@@ -497,7 +436,7 @@ impl Rspn {
     /// Deserialize an RSPN written by [`Rspn::write_to`].
     pub(crate) fn read_from(r: &mut impl std::io::Read) -> std::io::Result<Self> {
         use deepdb_spn::wire::*;
-        let spn = Spn::read_from(r)?;
+        let compiled = CompiledSpn::read_from(r)?;
         let tables = read_usizes(r)?;
         let n_cols = read_u32(r)? as usize;
         if n_cols > 1 << 16 {
@@ -559,34 +498,22 @@ impl Rspn {
             .map(|_| read_f64s(r))
             .collect::<std::io::Result<_>>()?;
         let join_count_dirty = read_u8(r)? != 0;
-        // The wire format stores only the tree; recompile the arena on load.
-        let compiled = spn.compile();
-
-        // Rebuild the lookup maps from the column roles.
-        let mut data_col = HashMap::new();
-        let mut indicator_col = HashMap::new();
-        let mut factor_col = HashMap::new();
-        let mut internal_edges = Vec::new();
-        for (i, c) in columns.iter().enumerate() {
-            match c.role {
-                JoinColumnRole::Data { table, col } => {
-                    data_col.insert((table, col), i);
-                }
-                JoinColumnRole::Indicator { table } => {
-                    indicator_col.insert(table, i);
-                }
-                JoinColumnRole::TupleFactor { fk, clamped } => {
-                    factor_col.insert(fk, i);
-                    if clamped {
-                        internal_edges.push(fk);
-                    }
-                }
-            }
+        // Query paths index these per model column without bounds checks of
+        // their own (`strategy_score` reads `attr_rdc[i][j]`).
+        let n = compiled.n_columns();
+        if columns.len() != n {
+            return Err(corrupt("rspn columns do not match the model"));
         }
+        if col_stats.len() != n {
+            return Err(corrupt("rspn column stats arity"));
+        }
+        if attr_rdc.len() != n || attr_rdc.iter().any(|row| row.len() != n) {
+            return Err(corrupt("rspn attribute RDC arity"));
+        }
+
+        let (data_col, indicator_col, factor_col, internal_edges) = column_maps(&columns);
         Ok(Self {
-            spn,
             compiled,
-            compiled_dirty: false,
             tables,
             columns,
             full_join_count,
@@ -604,35 +531,34 @@ impl Rspn {
     }
 
     /// Absorb one full-outer-join row (paper Algorithm 1), already assembled
-    /// in SPN column order. The tree **and** the compiled arena engine are
-    /// patched in place — O(depth + touched bins), no recompilation, and
-    /// query results are bitwise identical to a full recompile.
+    /// in SPN column order, by patching the arena in place — O(depth +
+    /// touched bins), no recompilation.
     pub fn insert_row(&mut self, row: &[f64]) {
         self.track_distincts(row);
-        self.spn.insert_patch(&mut self.compiled, row);
+        self.compiled.insert(row);
     }
 
-    /// Absorb a batch of full-outer-join rows in one routed traversal; arena
-    /// deltas are folded per node (one weight renormalization per touched
-    /// sum for the whole batch).
+    /// Absorb a batch of full-outer-join rows in one routed traversal; the
+    /// finalization is folded per node (one weight renormalization per
+    /// touched sum for the whole batch).
     pub fn insert_rows(&mut self, rows: &[Vec<f64>]) {
         for row in rows {
             self.track_distincts(row);
         }
-        self.spn.insert_batch(&mut self.compiled, rows);
+        self.compiled.insert_batch(rows);
     }
 
-    /// Remove one full-outer-join row, patching tree and arena in place.
-    /// Returns `false` (a consistent no-op) if the routed path cannot absorb
-    /// the delete — e.g. the tuple was never represented.
+    /// Remove one full-outer-join row in place. Returns `false` (a
+    /// consistent no-op) if the routed path cannot absorb the delete — e.g.
+    /// the tuple was never represented.
     pub fn delete_row(&mut self, row: &[f64]) -> bool {
-        self.spn.delete_patch(&mut self.compiled, row)
+        self.compiled.delete(row)
     }
 
-    /// Remove a batch of rows; returns how many actually applied. Arena
+    /// Remove a batch of rows; returns how many actually applied. The
     /// finalization is folded per batch like [`Rspn::insert_rows`].
     pub fn delete_rows(&mut self, rows: &[Vec<f64>]) -> usize {
-        self.spn.delete_batch(&mut self.compiled, rows)
+        self.compiled.delete_batch(rows)
     }
 
     /// Grow the GROUP BY domains by `row`'s values. A domain that would pass
@@ -649,6 +575,51 @@ impl Rspn {
             }
         }
     }
+}
+
+/// Column lookup maps derived from the column roles.
+type ColumnMaps = (
+    HashMap<(TableId, ColId), usize>,
+    HashMap<TableId, usize>,
+    HashMap<ForeignKey, usize>,
+    Vec<ForeignKey>,
+);
+
+/// SPN column per data attribute, per join indicator and per tuple factor,
+/// plus the FK edges internal to the join (clamped factors).
+fn column_maps(columns: &[JoinColumnMeta]) -> ColumnMaps {
+    let (mut data_col, mut indicator_col, mut factor_col, mut internal_edges) =
+        ColumnMaps::default();
+    for (i, c) in columns.iter().enumerate() {
+        match c.role {
+            JoinColumnRole::Data { table, col } => {
+                data_col.insert((table, col), i);
+            }
+            JoinColumnRole::Indicator { table } => {
+                indicator_col.insert(table, i);
+            }
+            JoinColumnRole::TupleFactor { fk, clamped } => {
+                factor_col.insert(fk, i);
+                if clamped {
+                    internal_edges.push(fk);
+                }
+            }
+        }
+    }
+    (data_col, indicator_col, factor_col, internal_edges)
+}
+
+/// Distinct finite values of a column as a GROUP BY domain, or `None` once
+/// more than [`MAX_GROUP_DISTINCT`] show up: GROUP BY then falls back
+/// instead of enumerating a truncated domain.
+fn distinct_domain(col: &[f64]) -> Option<BTreeSet<u64>> {
+    let mut set = BTreeSet::new();
+    for &v in col {
+        if v.is_finite() && set.insert(v.to_bits()) && set.len() > MAX_GROUP_DISTINCT {
+            return None;
+        }
+    }
+    Some(set)
 }
 
 /// Translate a storage predicate operation into leaf predicates.
@@ -824,6 +795,49 @@ mod tests {
         row[col] = -5.0;
         rspn.insert_row(&row);
         assert_eq!(rspn.distinct_values(col), None);
+    }
+
+    /// A value first seen deep into the sample still joins the domain, and
+    /// a column past the cap has none.
+    #[test]
+    fn group_domain_scans_the_whole_column() {
+        let mut col = vec![0.0; 20_000];
+        col.push(1.0);
+        let want: BTreeSet<u64> = [0.0f64, 1.0].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(distinct_domain(&col), Some(want));
+        let wide: Vec<f64> = (0..=MAX_GROUP_DISTINCT).map(|v| v as f64).collect();
+        assert_eq!(distinct_domain(&wide), None);
+        assert_eq!(
+            distinct_domain(&wide[1..]).map(|s| s.len()),
+            Some(MAX_GROUP_DISTINCT)
+        );
+    }
+
+    /// Member metadata must cover exactly the model's columns: a snapshot
+    /// whose per-column tables are short loads as `InvalidData`, not as a
+    /// member that panics on its first multi-predicate query.
+    #[test]
+    fn snapshot_metadata_must_match_the_model() {
+        let (_, rspn) = learn_joint(500);
+        let reload = |r: &Rspn| {
+            let mut buf = Vec::new();
+            r.write_to(&mut buf).unwrap();
+            Rspn::read_from(&mut buf.as_slice())
+        };
+        assert!(reload(&rspn).is_ok());
+
+        let mut short_rdc = rspn.clone();
+        short_rdc.attr_rdc.pop();
+        let mut ragged_rdc = rspn.clone();
+        ragged_rdc.attr_rdc[0].pop();
+        let mut short_stats = rspn.clone();
+        short_stats.col_stats.pop();
+        let mut extra_column = rspn.clone();
+        extra_column.columns.push(rspn.columns[0].clone());
+        for bad in [short_rdc, ragged_rdc, short_stats, extra_column] {
+            let err = reload(&bad).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

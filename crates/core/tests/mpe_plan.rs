@@ -82,7 +82,7 @@ fn classification_batch_matches_per_row_calls_across_snapshots() {
     let rows = evidence_rows(18);
     let batch = predict_classification_batch(&ens, &db, c, 2, &rows).unwrap();
 
-    // A snapshot round-trip (recompiled arenas on load) answers identically.
+    // A snapshot round-trip (arenas decoded on load) answers identically.
     let mut buf = Vec::new();
     ens.save(&mut buf).unwrap();
     let restored = Ensemble::load(&mut buf.as_slice()).unwrap();

@@ -352,7 +352,6 @@ fn epoch_invalidation_never_reuses_stale_plans() {
 
     type Maintenance = fn(&mut Ensemble, &mut Database);
     let ops: Vec<(&str, Maintenance)> = vec![
-        ("recompile_models", |e, _| e.recompile_models()),
         ("apply_insert", |e, db| {
             e.apply_insert(db, 0, &customer_row(900_001)).unwrap()
         }),
@@ -411,7 +410,7 @@ fn epoch_invalidation_never_reuses_stale_plans() {
 
 /// The pruning active-set side table: populated by warm executions, keyed
 /// per (member, column-set), excluded from hit/miss/entry accounting, and
-/// cleared wholesale the first time it is touched after **any** of the six
+/// cleared wholesale the first time it is touched after **any** of the five
 /// maintenance operations bumps the plan epoch — so a pruned sweep can
 /// never run over a sub-DAG marked for a retired model generation.
 #[test]
@@ -424,7 +423,6 @@ fn active_set_side_table_tracks_epochs() {
 
     type Maintenance = fn(&mut Ensemble, &mut Database);
     let ops: Vec<(&str, Maintenance)> = vec![
-        ("recompile_models", |e, _| e.recompile_models()),
         ("apply_insert", |e, db| {
             e.apply_insert(db, 0, &customer_row(910_001)).unwrap()
         }),

@@ -1,9 +1,9 @@
 //! Core-level acceptance tests for in-place arena maintenance: an
-//! interleaved update/query stream must (a) never recompile on the hot path
-//! — the per-member `Rspn::probe_passes` counters survive updates — and
-//! (b) produce estimates bitwise identical to a freshly recompiled model
-//! (a snapshot round-trip rebuilds every arena from the tree). The batched
-//! ensemble entry point must match the sequential one bitwise.
+//! interleaved update/query stream must (a) never rebuild an arena on the
+//! hot path — the per-member `Rspn::probe_passes` counters survive updates
+//! — and (b) produce estimates bitwise identical to the same model after a
+//! snapshot round-trip (every arena written out and decoded afresh). The
+//! batched ensemble entry point must match the sequential one bitwise.
 
 use deepdb_core::{execute_aqp, Ensemble, EnsembleBuilder, EnsembleParams};
 use deepdb_storage::fixtures::correlated_customer_order;
@@ -46,8 +46,8 @@ fn workload(c: usize, o: usize) -> Vec<Query> {
 }
 
 /// Interleaved inserts and queries: every estimate after every burst matches
-/// the recompiled-from-tree baseline bit for bit, and no member is ever
-/// recompiled (sweep counters keep counting monotonically).
+/// the snapshot-decoded baseline bit for bit, and no member's arena is ever
+/// rebuilt (sweep counters keep counting monotonically).
 #[test]
 fn interleaved_update_stream_matches_recompile_bitwise() {
     let (mut db, mut ens) = setup();
@@ -87,18 +87,18 @@ fn interleaved_update_stream_matches_recompile_bitwise() {
             .unwrap();
         }
 
-        // The update path must not have reset any sweep counter (a recompile
-        // would have): counters only ever grow.
+        // The update path must not have reset any sweep counter (a rebuilt
+        // arena would have): counters only ever grow.
         let passes_now: Vec<u64> = ens.rspns().iter().map(|r| r.probe_passes()).collect();
         for (i, (&floor, &now)) in passes_floor.iter().zip(&passes_now).enumerate() {
             assert!(
                 now >= floor,
                 "member {i} lost probe passes after updates ({now} < {floor}): \
-                 the hot path recompiled"
+                 the hot path rebuilt an arena"
             );
         }
 
-        // Queries on the patched engines ≡ queries on a recompiled model.
+        // Queries on the patched engines ≡ queries on a decoded snapshot.
         let baseline = snapshot_round_trip(&ens);
         for (qi, q) in queries.iter().enumerate() {
             let got = execute_aqp(&ens, &db, q).unwrap();

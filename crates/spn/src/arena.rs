@@ -1,24 +1,27 @@
-//! Arena-compiled SPN: the tree flattened into contiguous struct-of-arrays
-//! storage, evaluated without recursion.
+//! The arena: a learned SPN as contiguous struct-of-arrays storage — the
+//! one runtime representation of a model.
 //!
-//! [`CompiledSpn`] is built once from an [`Spn`] and then **patched in
-//! place** as updates stream in (paper Algorithm 1 never changes the
-//! structure, only sum weights and leaf histograms — see [`crate::update`]'s
-//! lockstep tree+arena walk). Nodes are laid out in **topological bottom-up
-//! order** (every child precedes its parent, the root is last), so a single
-//! forward sweep over the arrays evaluates the whole network; there is no
-//! pointer chasing and no per-visit allocation.
+//! [`CompiledSpn`] is built once from a learned [`Spn`] tree (or decoded
+//! straight from a snapshot, see [`crate::serialize`]) and from then on it
+//! *is* the model: queries sweep it, updates patch it, snapshots are written
+//! from it. Nodes are laid out in **topological bottom-up order** (every
+//! child precedes its parent, the root is last), so a single forward sweep
+//! over the arrays evaluates the whole network; there is no pointer chasing
+//! and no per-visit allocation.
 //!
-//! Sum-node counts are stored next to the frozen `count / total` mixture
-//! weights; a patch adjusts the counts of the routed edges and
-//! [`ArenaPatch`] defers the per-sum weight renormalization and the per-leaf
-//! prefix-sum rebuild to one commit per batch — one renormalization per
-//! touched sum, not per tuple. Renormalization replays the exact arithmetic
-//! of [`CompiledSpn::compile`], so a patched arena is **bitwise identical**
-//! to a full recompile of the patched tree (property-tested in
-//! `tests/prop_update.rs`). Evaluation stays a pure `&self` operation — the
-//! prerequisite for the batched evaluator in [`crate::batch`] and for
-//! parallel/sharded ensembles.
+//! Besides what evaluation reads (kinds, child edges, weights, leaf
+//! histograms), the arena keeps what paper Algorithm 1 needs to route an
+//! update: every inner node's scope and, per sum node, the z-normalization
+//! of its scope columns and one k-means centroid per child edge. Sum-edge
+//! row counts sit next to the `count / total` mixture weights; an update
+//! adjusts the counts of the routed edges and [`ArenaPatch`] defers the
+//! per-sum weight renormalization and the per-leaf prefix-sum rebuild to
+//! one commit per batch (see [`crate::update`]). Renormalization replays
+//! the exact arithmetic of [`CompiledSpn::compile`], so a patched arena is
+//! **bitwise identical** to compiling the equally updated tree oracle
+//! (property-tested in `tests/prop_update.rs`). Evaluation stays a pure
+//! `&self` operation — the prerequisite for the batched evaluator in
+//! [`crate::batch`] and for parallel/sharded ensembles.
 //!
 //! The recursive evaluator in [`crate::infer`] stays as the reference oracle;
 //! differential property tests assert both paths agree. Arithmetic here
@@ -45,7 +48,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::node::{Node, Spn};
-use crate::Leaf;
+use crate::{ColumnMeta, Leaf};
 
 /// Node kind tag in the flattened arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +74,7 @@ pub(crate) struct NodeRun {
 /// Sentinel for "not a leaf" in the `leaf_of` array.
 const NOT_A_LEAF: u32 = u32::MAX;
 
-/// A compiled, immutable SPN in struct-of-arrays form.
+/// A learned SPN in struct-of-arrays form.
 ///
 /// Evaluation lives in [`crate::batch::BatchEvaluator`]; this type also
 /// offers a convenience single-query [`CompiledSpn::evaluate`].
@@ -89,14 +92,14 @@ pub struct CompiledSpn {
     /// edges are skipped, matching the recursive evaluator; 1.0 for product
     /// edges).
     pub(crate) weights: Vec<f64>,
-    /// Raw row count per child edge, aligned with `weights` (mirrors
-    /// `SumNode::counts`; 0 for product edges). The patch path adjusts these
-    /// and re-derives `weights` with the exact arithmetic of `compile`.
+    /// Raw row count per child edge, aligned with `weights` (0 for product
+    /// edges). Updates adjust these and re-derive `weights` with the exact
+    /// arithmetic of `compile`.
     pub(crate) counts: Vec<u64>,
     /// Per-node leaf payload index into `leaves` (`NOT_A_LEAF` for inner
     /// nodes).
     pub(crate) leaf_of: Vec<u32>,
-    /// Cloned leaves with prefix sums rebuilt — immutable at query time.
+    /// Leaf histograms with current prefix sums.
     pub(crate) leaves: Vec<Leaf>,
     /// Column modeled by each leaf payload (mirrors `leaves[i].col`).
     pub(crate) leaf_col: Vec<u32>,
@@ -117,7 +120,23 @@ pub struct CompiledSpn {
     /// constantly `NO_LEAF`: a pruned subtree never contains a target leaf,
     /// because the MPE target column is always part of the active column set.
     pub(crate) neutral_mpe: Vec<f64>,
-    n_cols: usize,
+    /// Name and kind of every modeled column.
+    meta: Vec<ColumnMeta>,
+    /// Per-node range `[scope_off[i], scope_off[i + 1])` into `scope`: an
+    /// inner node's columns in learned order (empty for leaves, whose scope
+    /// is their `leaf_col`).
+    scope_off: Vec<u32>,
+    scope: Vec<usize>,
+    /// Per-node range `[norm_off[i], norm_off[i + 1])` into `norm`: a sum
+    /// node's z-normalization `(mean, std)` per scope column (empty for
+    /// products and leaves).
+    norm_off: Vec<u32>,
+    norm: Vec<(f64, f64)>,
+    /// Per-node range `[centroid_off[i], centroid_off[i + 1])` into
+    /// `centroids`: a sum node's k-means centroids in z-space, one per child
+    /// edge in edge order, each as long as its scope (empty otherwise).
+    centroid_off: Vec<u32>,
+    centroids: Vec<f64>,
     n_rows: u64,
     /// Fused batch sweeps executed against this arena (diagnostics; lets
     /// tests assert "one sweep per touched model per query"). A sweep is one
@@ -146,7 +165,13 @@ impl Clone for CompiledSpn {
             leaf_mode: self.leaf_mode.clone(),
             neutral_expect: self.neutral_expect.clone(),
             neutral_mpe: self.neutral_mpe.clone(),
-            n_cols: self.n_cols,
+            meta: self.meta.clone(),
+            scope_off: self.scope_off.clone(),
+            scope: self.scope.clone(),
+            norm_off: self.norm_off.clone(),
+            norm: self.norm.clone(),
+            centroid_off: self.centroid_off.clone(),
+            centroids: self.centroids.clone(),
             n_rows: self.n_rows,
             sweeps: AtomicU64::new(self.sweeps.load(Ordering::Relaxed)),
             nodes_swept: AtomicU64::new(self.nodes_swept.load(Ordering::Relaxed)),
@@ -155,10 +180,20 @@ impl Clone for CompiledSpn {
 }
 
 impl CompiledSpn {
-    /// Flatten `spn` into arena form. Cost is one tree walk plus one clone of
-    /// the leaf histograms; cheap enough to re-run after a batch of updates.
+    /// Flatten `spn` into arena form: one post-order tree walk plus one clone
+    /// of the leaf histograms.
     pub fn compile(spn: &Spn) -> Self {
-        let mut c = CompiledSpn {
+        let mut c = CompiledSpn::empty(spn.meta.clone(), spn.n_rows());
+        c.flatten(&spn.root);
+        c.finish();
+        c
+    }
+
+    /// An arena with no nodes yet, to be filled in post-order by
+    /// [`CompiledSpn::push_leaf`] / [`CompiledSpn::push_inner`] and then
+    /// [`CompiledSpn::finish`]ed.
+    pub(crate) fn empty(meta: Vec<ColumnMeta>, n_rows: u64) -> Self {
+        CompiledSpn {
             kinds: Vec::new(),
             child_start: Vec::new(),
             child_end: Vec::new(),
@@ -172,15 +207,37 @@ impl CompiledSpn {
             leaf_mode: Vec::new(),
             neutral_expect: Vec::new(),
             neutral_mpe: Vec::new(),
-            n_cols: spn.n_columns(),
-            n_rows: spn.n_rows(),
+            meta,
+            scope_off: vec![0],
+            scope: Vec::new(),
+            norm_off: vec![0],
+            norm: Vec::new(),
+            centroid_off: vec![0],
+            centroids: Vec::new(),
+            n_rows,
             sweeps: AtomicU64::new(0),
             nodes_swept: AtomicU64::new(0),
-        };
-        c.flatten(&spn.root);
-        c.build_runs();
-        c.refresh_neutral();
-        c
+        }
+    }
+
+    /// Derive everything that is a pure function of the stored model — sum
+    /// weights from the edge counts, leaf prefix sums and cached modes, node
+    /// runs, neutral tables. The one finishing step of both
+    /// [`CompiledSpn::compile`] and [`CompiledSpn::read_from`], so a decoded
+    /// arena equals a compiled one bitwise.
+    pub(crate) fn finish(&mut self) {
+        for node in 0..self.n_nodes() {
+            if self.kinds[node] == CompiledKind::Sum {
+                self.renormalize_sum(node as u32);
+            }
+        }
+        self.leaf_mode.clear();
+        for leaf in &mut self.leaves {
+            leaf.ensure_prefix();
+            self.leaf_mode.push(leaf.mode().unwrap_or(f64::NAN));
+        }
+        self.build_runs();
+        self.refresh_neutral();
     }
 
     /// Recompute the per-node neutral (empty-query) values for both
@@ -286,74 +343,98 @@ impl CompiledSpn {
         )
     }
 
+    /// An inner node's scope in learned order (empty for a leaf).
+    pub(crate) fn scope(&self, node: usize) -> &[usize] {
+        &self.scope[self.scope_off[node] as usize..self.scope_off[node + 1] as usize]
+    }
+
+    /// A sum node's per-scope-column z-normalization (empty otherwise).
+    pub(crate) fn norm(&self, node: usize) -> &[(f64, f64)] {
+        &self.norm[self.norm_off[node] as usize..self.norm_off[node + 1] as usize]
+    }
+
+    /// A sum node's centroids, one per child edge in edge order.
+    pub(crate) fn centroids(&self, node: usize) -> impl Iterator<Item = &[f64]> {
+        debug_assert_eq!(self.kinds[node], CompiledKind::Sum);
+        let (s, e) = self.child_range(node);
+        let d = self.scope(node).len();
+        let base = self.centroid_off[node] as usize;
+        (0..e - s).map(move |j| &self.centroids[base + j * d..base + (j + 1) * d])
+    }
+
     /// Post-order flattening; returns the arena id of `node`.
     fn flatten(&mut self, node: &Node) -> u32 {
         match node {
-            Node::Leaf(leaf) => {
-                let mut leaf = leaf.clone();
-                leaf.ensure_prefix();
-                let payload = self.leaves.len() as u32;
-                self.leaf_col.push(leaf.col as u32);
-                self.leaf_mode.push(leaf.mode().unwrap_or(f64::NAN));
-                self.leaves.push(leaf);
-                self.push_node(
-                    CompiledKind::Leaf,
-                    Vec::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    payload,
-                )
-            }
+            Node::Leaf(leaf) => self.push_leaf(leaf.clone()),
             Node::Product(p) => {
                 let ids: Vec<u32> = p.children.iter().map(|ch| self.flatten(ch)).collect();
-                let weights = vec![1.0; ids.len()];
-                let counts = vec![0; ids.len()];
-                self.push_node(CompiledKind::Product, ids, weights, counts, NOT_A_LEAF)
+                self.push_inner(CompiledKind::Product, &p.scope, &ids, &[], &[], &[])
             }
             Node::Sum(s) => {
                 let ids: Vec<u32> = s.children.iter().map(|ch| self.flatten(ch)).collect();
-                let total: u64 = s.counts.iter().sum();
-                // Freeze the weights exactly as the recursive evaluator
-                // computes them so both paths are bit-identical. A zeroed-out
-                // sum node keeps all-zero weights and evaluates to 0.
-                let weights: Vec<f64> = s
-                    .counts
-                    .iter()
-                    .map(|&cnt| {
-                        if total == 0 {
-                            0.0
-                        } else {
-                            cnt as f64 / total as f64
-                        }
-                    })
-                    .collect();
-                self.push_node(
+                debug_assert!(s.centroids.iter().all(|c| c.len() == s.scope.len()));
+                self.push_inner(
                     CompiledKind::Sum,
-                    ids,
-                    weights,
-                    s.counts.clone(),
-                    NOT_A_LEAF,
+                    &s.scope,
+                    &ids,
+                    &s.counts,
+                    &s.norm,
+                    &s.centroids.concat(),
                 )
             }
         }
     }
 
+    /// Append a leaf node (its prefix sums and mode are derived in
+    /// [`CompiledSpn::finish`]); returns its arena id.
+    pub(crate) fn push_leaf(&mut self, leaf: Leaf) -> u32 {
+        let payload = self.leaves.len() as u32;
+        self.leaf_col.push(leaf.col as u32);
+        self.leaves.push(leaf);
+        self.push_node(CompiledKind::Leaf, &[], &[], payload)
+    }
+
+    /// Append an inner node whose children are already in the arena.
+    /// Products pass empty `counts`, `norm` and `centroids` (their edges
+    /// weigh 1.0); a sum's `centroids` are its per-edge centroids
+    /// concatenated. Sum weights are derived in [`CompiledSpn::finish`].
+    pub(crate) fn push_inner(
+        &mut self,
+        kind: CompiledKind,
+        scope: &[usize],
+        child_ids: &[u32],
+        counts: &[u64],
+        norm: &[(f64, f64)],
+        centroids: &[f64],
+    ) -> u32 {
+        self.scope.extend_from_slice(scope);
+        self.norm.extend_from_slice(norm);
+        self.centroids.extend_from_slice(centroids);
+        self.push_node(kind, child_ids, counts, NOT_A_LEAF)
+    }
+
     fn push_node(
         &mut self,
         kind: CompiledKind,
-        child_ids: Vec<u32>,
-        weights: Vec<f64>,
-        counts: Vec<u64>,
+        child_ids: &[u32],
+        counts: &[u64],
         payload: u32,
     ) -> u32 {
         let id = self.kinds.len() as u32;
         self.kinds.push(kind);
         self.child_start.push(self.children.len() as u32);
-        self.children.extend_from_slice(&child_ids);
-        self.weights.extend_from_slice(&weights);
-        self.counts.extend_from_slice(&counts);
+        self.children.extend_from_slice(child_ids);
         self.child_end.push(self.children.len() as u32);
+        self.weights.resize(self.children.len(), 1.0);
+        if counts.is_empty() {
+            self.counts.resize(self.children.len(), 0);
+        } else {
+            self.counts.extend_from_slice(counts);
+        }
         self.leaf_of.push(payload);
+        self.scope_off.push(self.scope.len() as u32);
+        self.norm_off.push(self.norm.len() as u32);
+        self.centroid_off.push(self.centroids.len() as u32);
         id
     }
 
@@ -367,12 +448,17 @@ impl CompiledSpn {
         self.leaves.len()
     }
 
-    /// Columns the underlying model covers.
+    /// Columns the model covers.
     pub fn n_columns(&self) -> usize {
-        self.n_cols
+        self.meta.len()
     }
 
-    /// Rows represented at compile time.
+    /// Name and kind of every modeled column.
+    pub fn meta(&self) -> &[ColumnMeta] {
+        &self.meta
+    }
+
+    /// Rows currently represented (training rows ± updates).
     pub fn n_rows(&self) -> u64 {
         self.n_rows
     }
@@ -432,50 +518,12 @@ impl CompiledSpn {
         .value
     }
 
-    // -- In-place patching ---------------------------------------------------
-    //
-    // The update walk in `crate::update` routes tuples through the tree and
-    // the arena in lockstep, calling the low-level mutators below; the
-    // expensive per-node finalization (weight renormalization, leaf prefix
-    // rebuilds) is deferred into an `ArenaPatch` and folded to once per
-    // touched node per batch by `commit_patch`.
-
-    /// Arena id of the `k`-th child of `node` (child order mirrors the
-    /// tree's, by construction of [`CompiledSpn::compile`]).
-    pub(crate) fn child_id(&self, node: u32, k: usize) -> u32 {
-        self.children[self.child_start[node as usize] as usize + k]
-    }
-
-    /// Leaf payload index of a leaf node.
-    pub(crate) fn leaf_payload(&self, node: u32) -> u32 {
-        let payload = self.leaf_of[node as usize];
-        debug_assert_ne!(payload, NOT_A_LEAF, "node {node} is not a leaf");
-        payload
-    }
-
-    /// Mutable access to a leaf histogram by payload index (patching applies
-    /// the same `Leaf::insert`/`Leaf::remove` as the tree copy receives, so
-    /// both stay bitwise identical).
-    pub(crate) fn leaf_mut(&mut self, payload: u32) -> &mut Leaf {
-        &mut self.leaves[payload as usize]
-    }
-
-    /// Adjust the raw count of sum edge `(node, k)`. Weights are stale until
-    /// [`CompiledSpn::commit_patch`] renormalizes the touched sums.
-    pub(crate) fn sum_count_delta(&mut self, node: u32, k: usize, delta: i64) {
-        debug_assert_eq!(self.kinds[node as usize], CompiledKind::Sum);
-        let e = self.child_start[node as usize] as usize + k;
-        self.counts[e] = (self.counts[e] as i64 + delta).max(0) as u64;
-    }
-
-    /// Recompute one sum node's weights from its counts — the same
-    /// `cnt / total` arithmetic as [`CompiledSpn::compile`], so a patched
-    /// arena and a recompiled one agree bitwise.
+    /// Recompute one sum node's weights from its counts — the `cnt / total`
+    /// arithmetic of the recursive evaluator, so a patched arena, a compiled
+    /// one and the tree oracle agree bitwise. A zeroed-out sum node keeps
+    /// all-zero weights and evaluates to 0.
     fn renormalize_sum(&mut self, node: u32) {
-        let (s, e) = (
-            self.child_start[node as usize] as usize,
-            self.child_end[node as usize] as usize,
-        );
+        let (s, e) = self.child_range(node as usize);
         let total: u64 = self.counts[s..e].iter().sum();
         for i in s..e {
             self.weights[i] = if total == 0 {
@@ -489,7 +537,7 @@ impl CompiledSpn {
     /// Apply the deferred finalization of a patch batch: renormalize every
     /// touched sum once, rebuild every touched leaf's prefix sums **and its
     /// cached mode** once, refresh the neutral tables if any weights moved,
-    /// and sync the represented row count.
+    /// and set the represented row count.
     pub(crate) fn commit_patch(&mut self, patch: ArenaPatch, n_rows: u64) {
         let weights_moved = !patch.touched_sums.is_empty();
         for node in patch.touched_sums {
@@ -509,11 +557,15 @@ impl CompiledSpn {
         self.n_rows = n_rows;
     }
 
-    /// Bitwise structural equality with another arena (weights compared by
-    /// bit pattern; the sweep diagnostics counter is ignored). This is the
-    /// acceptance check of the incremental patch path: after any update
-    /// stream, the patched arena must equal a full recompile exactly.
+    /// Bitwise equality with another arena (floats compared by bit pattern;
+    /// the sweep diagnostics counters are ignored). This is the acceptance
+    /// check of the update and snapshot paths: a patched arena must equal a
+    /// compile of the equally updated tree oracle, and a decoded arena the
+    /// one that was written.
     pub fn bitwise_eq(&self, other: &Self) -> bool {
+        fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
         self.kinds == other.kinds
             && self.child_start == other.child_start
             && self.child_end == other.child_end
@@ -521,38 +573,76 @@ impl CompiledSpn {
             && self.counts == other.counts
             && self.leaf_of == other.leaf_of
             && self.leaf_col == other.leaf_col
-            && self.leaf_mode.len() == other.leaf_mode.len()
-            && self
-                .leaf_mode
-                .iter()
-                .zip(&other.leaf_mode)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.n_cols == other.n_cols
+            && bits_eq(&self.leaf_mode, &other.leaf_mode)
+            && self.meta == other.meta
             && self.n_rows == other.n_rows
-            && self.weights.len() == other.weights.len()
-            && self
-                .weights
-                .iter()
-                .zip(&other.weights)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && bits_eq(&self.weights, &other.weights)
             && self.leaves.len() == other.leaves.len()
             && self
                 .leaves
                 .iter()
                 .zip(&other.leaves)
                 .all(|(a, b)| a.bitwise_eq(b))
-            && self.neutral_expect.len() == other.neutral_expect.len()
+            && bits_eq(&self.neutral_expect, &other.neutral_expect)
+            && bits_eq(&self.neutral_mpe, &other.neutral_mpe)
+            && self.scope_off == other.scope_off
+            && self.scope == other.scope
+            && self.norm_off == other.norm_off
+            && self.norm.len() == other.norm.len()
             && self
-                .neutral_expect
+                .norm
                 .iter()
-                .zip(&other.neutral_expect)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.neutral_mpe.len() == other.neutral_mpe.len()
-            && self
-                .neutral_mpe
-                .iter()
-                .zip(&other.neutral_mpe)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+                .zip(&other.norm)
+                .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits())
+            && self.centroid_off == other.centroid_off
+            && bits_eq(&self.centroids, &other.centroids)
+    }
+
+    /// Verify the mass bookkeeping invariant that updates must preserve
+    /// (paper Algorithm 1): every node's represented row count — leaf total,
+    /// sum of edge counts, or the shared count of a product's children —
+    /// matches what its parent routed into it, and the root mass equals
+    /// [`CompiledSpn::n_rows`]. Returns a description of the first violation
+    /// in bottom-up order, or `None` when consistent. O(nodes).
+    pub fn consistency_error(&self) -> Option<String> {
+        let mut mass = vec![0u64; self.n_nodes()];
+        for node in 0..self.n_nodes() {
+            let (s, e) = self.child_range(node);
+            mass[node] = match self.kinds[node] {
+                CompiledKind::Leaf => self.leaves[self.leaf_of[node] as usize].total(),
+                CompiledKind::Sum => {
+                    for i in s..e {
+                        let m = mass[self.children[i] as usize];
+                        if m != self.counts[i] {
+                            return Some(format!(
+                                "sum node {node} child {} holds mass {m} but its count is {}",
+                                i - s,
+                                self.counts[i]
+                            ));
+                        }
+                    }
+                    self.counts[s..e].iter().sum()
+                }
+                CompiledKind::Product => {
+                    let masses: Vec<u64> = self.children[s..e]
+                        .iter()
+                        .map(|&c| mass[c as usize])
+                        .collect();
+                    if masses.windows(2).any(|w| w[0] != w[1]) {
+                        return Some(format!(
+                            "product node {node} children disagree on mass: {masses:?}"
+                        ));
+                    }
+                    masses.first().copied().unwrap_or(0)
+                }
+            };
+        }
+        match mass.last() {
+            Some(&m) if m != self.n_rows => {
+                Some(format!("root mass {m} != n_rows {}", self.n_rows))
+            }
+            _ => None,
+        }
     }
 
     /// Build the [`ActiveSet`] for a set of constrained/target columns: one
@@ -567,9 +657,9 @@ impl CompiledSpn {
     /// nothing and the root row itself becomes the lone seed.
     pub fn active_set(&self, columns: &[usize]) -> ActiveSet {
         let n = self.n_nodes();
-        let mut col_mask = vec![false; self.n_cols];
+        let mut col_mask = vec![false; self.n_columns()];
         for &c in columns {
-            if c < self.n_cols {
+            if c < self.n_columns() {
                 col_mask[c] = true;
             }
         }
@@ -718,12 +808,10 @@ impl ArenaPatch {
 }
 
 impl Spn {
-    /// Compile this SPN into the arena representation. The result is a
-    /// snapshot: later tree-only [`Spn::insert`]/[`Spn::delete`] calls do
-    /// not affect it. The patched update entry points
-    /// ([`Spn::insert_patch`], [`Spn::insert_batch`], …) keep an arena in
-    /// sync in place, so recompilation is only needed after structural
-    /// changes (or to bootstrap an arena for a freshly loaded tree).
+    /// Compile this SPN into the arena representation. The two are
+    /// independent afterwards: tree-only [`Spn::insert`]/[`Spn::delete`]
+    /// calls do not affect the arena, and [`CompiledSpn::insert`] /
+    /// [`CompiledSpn::delete`] do not affect the tree.
     pub fn compile(&self) -> CompiledSpn {
         CompiledSpn::compile(self)
     }

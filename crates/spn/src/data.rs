@@ -1,7 +1,7 @@
 //! Column-major training data view.
 
 /// Metadata of one training column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnMeta {
     /// Display name (diagnostics only).
     pub name: String,

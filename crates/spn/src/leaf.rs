@@ -727,7 +727,7 @@ impl Leaf {
     }
 
     /// Structural sanity for snapshot loading (see
-    /// `serialize::validate_node`): every bound here guards a concrete
+    /// [`crate::CompiledSpn::read_from`]): every bound here guards a concrete
     /// panic or unbounded allocation a corrupted snapshot could otherwise
     /// trigger downstream.
     pub(crate) fn validate(&self, n_cols: usize) -> std::io::Result<()> {
@@ -740,10 +740,23 @@ impl Leaf {
         if self.n_bins == 0 || self.n_bins > 1 << 24 {
             return Err(corrupt("leaf bin count"));
         }
-        if let LeafKind::Binned { counts, .. } = &self.kind {
-            if counts.len() != self.n_bins {
-                return Err(corrupt("leaf bin count mismatch"));
+        let counts = match &self.kind {
+            LeafKind::Exact { counts, .. } => counts,
+            LeafKind::Binned { counts, .. } => {
+                if counts.len() != self.n_bins {
+                    return Err(corrupt("leaf bin count mismatch"));
+                }
+                counts
             }
+        };
+        // `remove` decrements a count and the total together, and bin
+        // conversion re-sums the counts: both need the NULL slot plus the
+        // histogram to make up exactly the total.
+        let mass = counts
+            .iter()
+            .try_fold(self.null_count, |acc, &c| acc.checked_add(c));
+        if mass != Some(self.total) {
+            return Err(corrupt("leaf mass"));
         }
         Ok(())
     }

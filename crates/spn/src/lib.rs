@@ -9,23 +9,27 @@
 //!   the update algorithm can route new tuples);
 //! * [`Leaf`] — value-frequency histograms with a NULL slot and a binning
 //!   fallback for high-cardinality continuous columns;
-//! * [`Spn`] — structure learning, bottom-up inference of
-//!   `E[∏ g_c(X_c) · 1_C]` expectations, max-product MPE, and direct
-//!   insert/delete updates (paper Algorithm 1). Deletes are
-//!   check-then-apply: an update the routed path cannot absorb is a
-//!   consistent no-op, never a partial decrement;
-//! * [`CompiledSpn`] / [`BatchEvaluator`] — the tree flattened into an
-//!   arena (contiguous SoA arrays in bottom-up topological order) and
-//!   evaluated for whole batches of queries in one non-recursive sweep.
-//!   The recursive evaluator survives **only as the differential-test
-//!   oracle**; every production query path — expectations *and*
-//!   max-product MPE — runs on the compiled engine. Updates **patch the
-//!   arena in place** ([`Spn::insert_patch`] / [`Spn::insert_batch`] and
-//!   the delete twins): tree and arena are walked in lockstep, sum-edge
-//!   counts and leaf histograms are edited directly, and per-node
-//!   finalization (weight renormalization, prefix rebuilds, cached leaf
-//!   modes) is folded to once per touched node per batch — O(depth +
-//!   touched bins) per tuple and bitwise identical to a full recompile;
+//! * [`Spn`] — structure learning over a tree of sum, product and leaf
+//!   nodes. The tree is the learner's output and the **differential-test
+//!   oracle**: a recursive evaluator of `E[∏ g_c(X_c) · 1_C]` expectations
+//!   and max-product MPE, and tree-only insert/delete updates;
+//! * [`CompiledSpn`] / [`BatchEvaluator`] — the model at runtime: the
+//!   learned tree compiled once into an arena (contiguous SoA arrays in
+//!   bottom-up topological order, plus the scopes, z-normalizations and
+//!   cluster centroids updates route by) and evaluated for whole batches of
+//!   queries in one non-recursive sweep. Every production query path —
+//!   expectations *and* max-product MPE — runs on it. Updates **patch the
+//!   arena in place** ([`CompiledSpn::insert`] / [`CompiledSpn::insert_batch`]
+//!   and the delete twins, paper Algorithm 1): sums route each tuple to the
+//!   nearest centroid, edge counts and leaf histograms are edited directly,
+//!   and per-node finalization (weight renormalization, prefix rebuilds,
+//!   cached leaf modes) is folded to once per touched node per batch —
+//!   O(depth + touched bins) per tuple and bitwise identical to compiling
+//!   the equally updated tree. Deletes are check-then-apply: an update the
+//!   routed path cannot absorb is a consistent no-op, never a partial
+//!   decrement. Snapshots ([`CompiledSpn::write_to`] /
+//!   [`CompiledSpn::read_from`]) are written from and decoded into the
+//!   arena without building a tree;
 //! * [`MaxProductEvaluator`] — the compiled **max-product** pass
 //!   (classification / most-probable-explanation, paper §4.3): sum nodes
 //!   take the best weighted child instead of the average, each probe tracks

@@ -247,7 +247,8 @@ mod tests {
         assert_eq!(arena.most_probable_value(0, &SpnQuery::new(2)), Some(1.0));
         // Shift the majority to 2 through the in-place patch path.
         for _ in 0..4 {
-            spn.insert_patch(&mut arena, &[2.0, 9.0]);
+            arena.insert(&[2.0, 9.0]);
+            spn.insert(&[2.0, 9.0]);
         }
         assert_eq!(arena.most_probable_value(0, &SpnQuery::new(2)), Some(2.0));
         assert!(arena.bitwise_eq(&spn.compile()), "mode cache drifted");

@@ -52,15 +52,6 @@ impl Node {
             Node::Product(p) => 1 + p.children.iter().map(Node::size).sum::<usize>(),
         }
     }
-
-    /// Depth of the subtree.
-    pub fn depth(&self) -> usize {
-        match self {
-            Node::Leaf(_) => 1,
-            Node::Sum(s) => 1 + s.children.iter().map(Node::depth).max().unwrap_or(0),
-            Node::Product(p) => 1 + p.children.iter().map(Node::depth).max().unwrap_or(0),
-        }
-    }
 }
 
 /// A learned Sum-Product Network over an opaque `f64` matrix.
@@ -81,68 +72,12 @@ impl Spn {
         self.n_rows
     }
 
-    pub fn meta(&self) -> &[ColumnMeta] {
-        &self.meta
-    }
-
-    /// Column index by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.meta.iter().position(|m| m.name == name)
-    }
-
     /// Node count (model size diagnostic).
     pub fn size(&self) -> usize {
         self.root.size()
     }
 
-    /// Tree depth diagnostic.
-    pub fn depth(&self) -> usize {
-        self.root.depth()
-    }
-
     pub(crate) fn new(root: Node, meta: Vec<ColumnMeta>, n_rows: u64) -> Self {
         Self { root, meta, n_rows }
-    }
-
-    /// Verify the mass bookkeeping invariant that direct updates must
-    /// preserve (paper Algorithm 1): every node's represented row count —
-    /// leaf total, sum-of-counts, or the shared count of a product's
-    /// children — matches what its parent routed into it, and the root mass
-    /// equals [`Spn::n_rows`]. Returns a description of the first violation,
-    /// or `None` when consistent. Diagnostic for tests; O(nodes).
-    pub fn consistency_error(&self) -> Option<String> {
-        fn mass(node: &Node) -> Result<u64, String> {
-            match node {
-                Node::Leaf(l) => Ok(l.total()),
-                Node::Sum(s) => {
-                    for (k, child) in s.children.iter().enumerate() {
-                        let m = mass(child)?;
-                        if m != s.counts[k] {
-                            return Err(format!(
-                                "sum child {k} holds mass {m} but its count is {}",
-                                s.counts[k]
-                            ));
-                        }
-                    }
-                    Ok(s.counts.iter().sum())
-                }
-                Node::Product(p) => {
-                    let masses: Vec<u64> = p.children.iter().map(mass).collect::<Result<_, _>>()?;
-                    if let Some((&first, rest)) = masses.split_first() {
-                        if rest.iter().any(|&m| m != first) {
-                            return Err(format!("product children disagree on mass: {masses:?}"));
-                        }
-                        Ok(first)
-                    } else {
-                        Ok(0)
-                    }
-                }
-            }
-        }
-        match mass(&self.root) {
-            Err(e) => Some(e),
-            Ok(m) if m != self.n_rows => Some(format!("root mass {m} != n_rows {}", self.n_rows)),
-            Ok(_) => None,
-        }
     }
 }

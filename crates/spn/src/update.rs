@@ -1,56 +1,61 @@
 //! Direct RSPN updates — paper Algorithm 1 (§5.2).
 //!
-//! Inserted (deleted) tuples traverse the tree: sum nodes route to the
-//! nearest stored cluster centroid and adjust their weight counts, product
-//! nodes fan the tuple out to every child (scope projection is implicit —
+//! An inserted (deleted) tuple traverses the model: sum nodes route it to
+//! the nearest stored cluster centroid and adjust that edge's row count,
+//! product nodes fan it out to every child (scope projection is implicit —
 //! leaves read only their own column), and leaves adjust their value
 //! histograms. The structure never changes; only weights and leaf
-//! distributions do — which is exactly why a [`crate::CompiledSpn`] arena
-//! can be **patched in place** instead of rebuilt:
+//! distributions do, so the [`CompiledSpn`] arena is **patched in place**:
 //!
-//! * the patched entry points ([`Spn::insert_patch`], [`Spn::delete_patch`],
-//!   [`Spn::insert_batch`], [`Spn::delete_batch`]) walk the tree and the
-//!   arena in lockstep (the arena's child order mirrors the tree's), apply
-//!   identical count/histogram edits to both, and defer weight
-//!   renormalization and leaf prefix rebuilds into an
-//!   [`crate::arena::ArenaPatch`] committed once per call — O(depth +
+//! * [`CompiledSpn::insert`] / [`CompiledSpn::delete`] and their batched
+//!   twins walk the arena from the root, edit edge counts and leaf
+//!   histograms directly, and defer weight renormalization and leaf prefix
+//!   rebuilds into an [`ArenaPatch`] committed once per call — O(depth +
 //!   touched bins) per tuple, independent of model size;
-//! * [`Spn::insert_batch`] routes the whole batch in **one traversal**,
-//!   partitioning tuples at each sum node, so every touched sum is
-//!   renormalized once per batch rather than once per tuple;
+//! * [`CompiledSpn::insert_batch`] routes the whole batch in **one
+//!   traversal**, partitioning tuples at each sum node, so every touched sum
+//!   is renormalized once per batch rather than once per tuple;
 //! * deletes are **check-then-apply**: a read-only routing pass first
 //!   verifies every routed sum count and leaf mass can absorb the decrement,
 //!   and the delete becomes a consistent no-op along the whole path
-//!   otherwise (an empty-cluster delete used to decrement the routed leaf
-//!   while the sum count saturated at zero, desynchronizing the two).
+//!   otherwise (never a partial decrement that leaves sum counts and leaf
+//!   totals disagreeing).
 //!
 //! Batched and one-by-one application produce bitwise-identical models: the
 //! exact integer count edits commute, leaf histogram edits land in the same
 //! per-leaf order, and the deferred renormalization is a pure function of
 //! the final counts.
+//!
+//! [`Spn::insert`] / [`Spn::delete`] / [`Spn::update`] apply the same
+//! algorithm to the learner's tree; they survive as the differential oracle
+//! the arena walk is tested against. Both walks route through the one
+//! [`nearest_child`], so they agree bitwise.
 
-use crate::arena::ArenaPatch;
+use crate::arena::{ArenaPatch, CompiledKind};
 use crate::node::{Node, Spn, SumNode};
 use crate::CompiledSpn;
 
-/// Distance of a full tuple to a sum-node centroid in that node's z-space.
-fn centroid_distance(sum: &SumNode, centroid: &[f64], tuple: &[f64]) -> f64 {
-    let mut d = 0.0;
-    for (j, &col) in sum.scope.iter().enumerate() {
-        let v = tuple[col];
-        let (mean, std) = sum.norm[j];
-        let z = if v.is_finite() { (v - mean) / std } else { 0.0 };
-        let diff = z - centroid[j];
-        d += diff * diff;
-    }
-    d
-}
-
-fn nearest_child(sum: &SumNode, tuple: &[f64]) -> usize {
+/// Index of the child whose centroid is nearest to `tuple` in the sum
+/// node's z-space (squared Euclidean distance; NULLs map to the column mean,
+/// z = 0). The lowest index wins ties. `norm` and every centroid are
+/// aligned with `scope`.
+fn nearest_child<'a>(
+    scope: &[usize],
+    norm: &[(f64, f64)],
+    centroids: impl Iterator<Item = &'a [f64]>,
+    tuple: &[f64],
+) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (i, c) in sum.centroids.iter().enumerate() {
-        let d = centroid_distance(sum, c, tuple);
+    for (i, centroid) in centroids.enumerate() {
+        let mut d = 0.0;
+        for (j, &col) in scope.iter().enumerate() {
+            let v = tuple[col];
+            let (mean, std) = norm[j];
+            let z = if v.is_finite() { (v - mean) / std } else { 0.0 };
+            let diff = z - centroid[j];
+            d += diff * diff;
+        }
         if d < best_d {
             best_d = d;
             best = i;
@@ -59,190 +64,81 @@ fn nearest_child(sum: &SumNode, tuple: &[f64]) -> usize {
     best
 }
 
-/// Arena access for the lockstep walks: `None` for tree-only updates,
-/// `Some` to patch a compiled arena in place alongside the tree.
-type ArenaView<'a> = Option<(&'a mut CompiledSpn, &'a mut ArenaPatch)>;
-
-/// Insert a batch of tuples below `node` in one traversal: partition at sum
-/// nodes, fan out at products, apply every value at the leaves. `arena_id`
-/// is `node`'s arena id when patching (child `k` of the tree node is child
-/// `k` of the arena node, by construction of the flattening).
-fn insert_rec(node: &mut Node, arena: &mut ArenaView<'_>, arena_id: u32, tuples: &[&[f64]]) {
-    match node {
-        Node::Leaf(leaf) => {
-            if let Some((compiled, patch)) = arena {
-                let payload = compiled.leaf_payload(arena_id);
-                let arena_leaf = compiled.leaf_mut(payload);
-                for t in tuples {
-                    leaf.insert(t[leaf.col]);
-                    arena_leaf.insert(t[leaf.col]);
-                }
-                patch.touch_leaf(payload);
-            } else {
-                for t in tuples {
-                    leaf.insert(t[leaf.col]);
-                }
-            }
-        }
-        Node::Product(prod) => {
-            for (k, child) in prod.children.iter_mut().enumerate() {
-                let child_id = arena
-                    .as_ref()
-                    .map_or(0, |(compiled, _)| compiled.child_id(arena_id, k));
-                insert_rec(child, arena, child_id, tuples);
-            }
-        }
-        Node::Sum(sum) => {
-            let mut groups: Vec<Vec<&[f64]>> = vec![Vec::new(); sum.children.len()];
-            for t in tuples {
-                groups[nearest_child(sum, t)].push(t);
-            }
-            if let Some((_, patch)) = arena {
-                patch.touch_sum(arena_id);
-            }
-            for (k, group) in groups.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                sum.counts[k] += group.len() as u64;
-                let child_id = if let Some((compiled, _)) = arena {
-                    compiled.sum_count_delta(arena_id, k, group.len() as i64);
-                    compiled.child_id(arena_id, k)
-                } else {
-                    0
-                };
-                insert_rec(&mut sum.children[k], arena, child_id, group);
-            }
-        }
-    }
+fn tree_route(node: &SumNode, tuple: &[f64]) -> usize {
+    nearest_child(
+        &node.scope,
+        &node.norm,
+        node.centroids.iter().map(Vec::as_slice),
+        tuple,
+    )
 }
 
-/// Allocation-free single-tuple insert (the per-row hot path of
-/// `Ensemble::apply_insert`): identical routing and edits to a one-element
-/// [`insert_rec`], minus the per-sum partition buffers.
-fn insert_one_rec(node: &mut Node, arena: &mut ArenaView<'_>, arena_id: u32, tuple: &[f64]) {
+fn tree_insert(node: &mut Node, tuple: &[f64]) {
     match node {
-        Node::Leaf(leaf) => {
-            leaf.insert(tuple[leaf.col]);
-            if let Some((compiled, patch)) = arena {
-                let payload = compiled.leaf_payload(arena_id);
-                compiled.leaf_mut(payload).insert(tuple[leaf.col]);
-                patch.touch_leaf(payload);
-            }
-        }
+        Node::Leaf(leaf) => leaf.insert(tuple[leaf.col]),
         Node::Product(prod) => {
-            for (k, child) in prod.children.iter_mut().enumerate() {
-                let child_id = arena
-                    .as_ref()
-                    .map_or(0, |(compiled, _)| compiled.child_id(arena_id, k));
-                insert_one_rec(child, arena, child_id, tuple);
+            for child in &mut prod.children {
+                tree_insert(child, tuple);
             }
         }
         Node::Sum(sum) => {
-            let k = nearest_child(sum, tuple);
+            let k = tree_route(sum, tuple);
             sum.counts[k] += 1;
-            let child_id = if let Some((compiled, patch)) = arena {
-                compiled.sum_count_delta(arena_id, k, 1);
-                patch.touch_sum(arena_id);
-                compiled.child_id(arena_id, k)
-            } else {
-                0
-            };
-            insert_one_rec(&mut sum.children[k], arena, child_id, tuple);
+            tree_insert(&mut sum.children[k], tuple);
         }
     }
 }
 
-/// Read-only routing pass of the check-then-apply delete protocol: `true`
-/// iff removing `tuple` succeeds at every routed sum edge and leaf. Routing
-/// depends only on the (immutable) centroids, so the subsequent apply pass
-/// takes exactly the same path.
-fn can_delete(node: &Node, tuple: &[f64]) -> bool {
+/// Read-only routing pass of the tree oracle's check-then-apply delete.
+fn tree_can_delete(node: &Node, tuple: &[f64]) -> bool {
     match node {
         Node::Leaf(leaf) => leaf.can_remove(tuple[leaf.col]),
         Node::Sum(sum) => {
-            let child = nearest_child(sum, tuple);
-            sum.counts[child] > 0 && can_delete(&sum.children[child], tuple)
+            let k = tree_route(sum, tuple);
+            sum.counts[k] > 0 && tree_can_delete(&sum.children[k], tuple)
         }
-        Node::Product(prod) => prod.children.iter().all(|c| can_delete(c, tuple)),
+        Node::Product(prod) => prod.children.iter().all(|c| tree_can_delete(c, tuple)),
     }
 }
 
-/// Apply one validated delete along the routed path (tree + optional arena).
-fn delete_rec(node: &mut Node, arena: &mut ArenaView<'_>, arena_id: u32, tuple: &[f64]) {
+fn tree_delete(node: &mut Node, tuple: &[f64]) {
     match node {
         Node::Leaf(leaf) => {
             let removed = leaf.remove(tuple[leaf.col]);
-            debug_assert!(removed, "delete validated by can_delete");
-            if let Some((compiled, patch)) = arena {
-                let payload = compiled.leaf_payload(arena_id);
-                compiled.leaf_mut(payload).remove(tuple[leaf.col]);
-                patch.touch_leaf(payload);
-            }
+            debug_assert!(removed, "delete validated by tree_can_delete");
         }
         Node::Sum(sum) => {
-            let k = nearest_child(sum, tuple);
+            let k = tree_route(sum, tuple);
             sum.counts[k] -= 1;
-            let child_id = if let Some((compiled, patch)) = arena {
-                compiled.sum_count_delta(arena_id, k, -1);
-                patch.touch_sum(arena_id);
-                compiled.child_id(arena_id, k)
-            } else {
-                0
-            };
-            delete_rec(&mut sum.children[k], arena, child_id, tuple);
+            tree_delete(&mut sum.children[k], tuple);
         }
         Node::Product(prod) => {
-            for (k, child) in prod.children.iter_mut().enumerate() {
-                let child_id = arena
-                    .as_ref()
-                    .map_or(0, |(compiled, _)| compiled.child_id(arena_id, k));
-                delete_rec(child, arena, child_id, tuple);
+            for child in &mut prod.children {
+                tree_delete(child, tuple);
             }
         }
     }
 }
 
 impl Spn {
-    fn check_tuple(&self, tuple: &[f64]) {
-        assert_eq!(tuple.len(), self.n_columns(), "tuple arity mismatch");
-    }
-
-    fn check_arena(&self, arena: &CompiledSpn) {
-        assert_eq!(
-            arena.n_columns(),
-            self.n_columns(),
-            "arena does not belong to this SPN"
-        );
-        assert_eq!(
-            arena.n_rows(),
-            self.n_rows(),
-            "arena out of sync with the tree; recompile before patching"
-        );
-    }
-
-    fn root_id(arena: &CompiledSpn) -> u32 {
-        arena.n_nodes() as u32 - 1
-    }
-
     /// Insert one tuple (full row over all columns, NaN = NULL) into the
-    /// tree only. Any previously compiled arena goes stale — prefer
-    /// [`Spn::insert_patch`] when one is live.
+    /// tree — the differential oracle of [`CompiledSpn::insert`]. An arena
+    /// compiled earlier does not see it.
     pub fn insert(&mut self, tuple: &[f64]) {
-        self.check_tuple(tuple);
-        insert_one_rec(&mut self.root, &mut None, 0, tuple);
+        assert_eq!(tuple.len(), self.n_columns(), "tuple arity mismatch");
+        tree_insert(&mut self.root, tuple);
         self.n_rows += 1;
     }
 
-    /// Delete one tuple from the tree only (routed like an insert; weights
+    /// Delete one tuple from the tree (routed like an insert; weights
     /// decrease). Returns `false` — leaving the model untouched — if the
     /// routed path cannot absorb the delete (empty cluster or absent value).
     pub fn delete(&mut self, tuple: &[f64]) -> bool {
-        self.check_tuple(tuple);
-        if !can_delete(&self.root, tuple) {
+        assert_eq!(tuple.len(), self.n_columns(), "tuple arity mismatch");
+        if !tree_can_delete(&self.root, tuple) {
             return false;
         }
-        delete_rec(&mut self.root, &mut None, 0, tuple);
+        tree_delete(&mut self.root, tuple);
         self.n_rows -= 1;
         true
     }
@@ -256,83 +152,192 @@ impl Spn {
         self.insert(new);
         true
     }
+}
 
-    /// Insert one tuple into the tree **and** patch `arena` in place:
-    /// O(depth + touched bins), no recompilation, no allocation on the
-    /// routed walk, bitwise identical to a full recompile of the updated
-    /// tree.
-    pub fn insert_patch(&mut self, arena: &mut CompiledSpn, tuple: &[f64]) {
+impl CompiledSpn {
+    fn check_tuple(&self, tuple: &[f64]) {
+        assert_eq!(tuple.len(), self.n_columns(), "tuple arity mismatch");
+    }
+
+    /// Edge index (into `children` / `counts`) of the child of sum `node`
+    /// that `tuple` routes to.
+    fn route(&self, node: usize, tuple: &[f64]) -> usize {
+        let offset = nearest_child(
+            self.scope(node),
+            self.norm(node),
+            self.centroids(node),
+            tuple,
+        );
+        self.child_start[node] as usize + offset
+    }
+
+    /// Insert a batch of tuples below `node` in one traversal: partition at
+    /// sum nodes, fan out at products, apply every value at the leaves.
+    fn insert_below(&mut self, node: usize, tuples: &[&[f64]], patch: &mut ArenaPatch) {
+        let (s, e) = self.child_range(node);
+        match self.kinds[node] {
+            CompiledKind::Leaf => {
+                let payload = self.leaf_of[node];
+                let leaf = &mut self.leaves[payload as usize];
+                for t in tuples {
+                    leaf.insert(t[leaf.col]);
+                }
+                patch.touch_leaf(payload);
+            }
+            CompiledKind::Product => {
+                for i in s..e {
+                    self.insert_below(self.children[i] as usize, tuples, patch);
+                }
+            }
+            CompiledKind::Sum => {
+                let mut groups: Vec<Vec<&[f64]>> = vec![Vec::new(); e - s];
+                for t in tuples {
+                    groups[self.route(node, t) - s].push(t);
+                }
+                patch.touch_sum(node as u32);
+                for (k, group) in groups.iter().enumerate() {
+                    if group.is_empty() {
+                        continue;
+                    }
+                    self.counts[s + k] += group.len() as u64;
+                    self.insert_below(self.children[s + k] as usize, group, patch);
+                }
+            }
+        }
+    }
+
+    /// Allocation-free single-tuple insert (the per-row hot path of
+    /// `Ensemble::apply_insert`): identical routing and edits to a
+    /// one-element [`CompiledSpn::insert_below`], minus the per-sum
+    /// partition buffers.
+    fn insert_one_below(&mut self, node: usize, tuple: &[f64], patch: &mut ArenaPatch) {
+        let (s, e) = self.child_range(node);
+        match self.kinds[node] {
+            CompiledKind::Leaf => {
+                let payload = self.leaf_of[node];
+                let leaf = &mut self.leaves[payload as usize];
+                leaf.insert(tuple[leaf.col]);
+                patch.touch_leaf(payload);
+            }
+            CompiledKind::Product => {
+                for i in s..e {
+                    self.insert_one_below(self.children[i] as usize, tuple, patch);
+                }
+            }
+            CompiledKind::Sum => {
+                let edge = self.route(node, tuple);
+                self.counts[edge] += 1;
+                patch.touch_sum(node as u32);
+                self.insert_one_below(self.children[edge] as usize, tuple, patch);
+            }
+        }
+    }
+
+    /// Read-only routing pass of the check-then-apply delete protocol: `true`
+    /// iff removing `tuple` succeeds at every routed sum edge and leaf.
+    /// Routing depends only on the (immutable) centroids, so the subsequent
+    /// apply pass takes exactly the same path.
+    fn can_delete_below(&self, node: usize, tuple: &[f64]) -> bool {
+        let (s, e) = self.child_range(node);
+        match self.kinds[node] {
+            CompiledKind::Leaf => {
+                let leaf = &self.leaves[self.leaf_of[node] as usize];
+                leaf.can_remove(tuple[leaf.col])
+            }
+            CompiledKind::Sum => {
+                let edge = self.route(node, tuple);
+                self.counts[edge] > 0 && self.can_delete_below(self.children[edge] as usize, tuple)
+            }
+            CompiledKind::Product => self.children[s..e]
+                .iter()
+                .all(|&c| self.can_delete_below(c as usize, tuple)),
+        }
+    }
+
+    /// Apply one delete validated by [`CompiledSpn::can_delete_below`].
+    fn delete_below(&mut self, node: usize, tuple: &[f64], patch: &mut ArenaPatch) {
+        let (s, e) = self.child_range(node);
+        match self.kinds[node] {
+            CompiledKind::Leaf => {
+                let payload = self.leaf_of[node];
+                let leaf = &mut self.leaves[payload as usize];
+                let removed = leaf.remove(tuple[leaf.col]);
+                debug_assert!(removed, "delete validated by can_delete_below");
+                patch.touch_leaf(payload);
+            }
+            CompiledKind::Sum => {
+                let edge = self.route(node, tuple);
+                self.counts[edge] -= 1;
+                patch.touch_sum(node as u32);
+                self.delete_below(self.children[edge] as usize, tuple, patch);
+            }
+            CompiledKind::Product => {
+                for i in s..e {
+                    self.delete_below(self.children[i] as usize, tuple, patch);
+                }
+            }
+        }
+    }
+
+    /// Insert one tuple (full row over all columns, NaN = NULL), patching
+    /// the arena in place: O(depth + touched bins), no allocation on the
+    /// routed walk.
+    pub fn insert(&mut self, tuple: &[f64]) {
         self.check_tuple(tuple);
-        self.check_arena(arena);
-        let root_id = Self::root_id(arena);
         let mut patch = ArenaPatch::default();
-        let mut view = Some((&mut *arena, &mut patch));
-        insert_one_rec(&mut self.root, &mut view, root_id, tuple);
-        self.n_rows += 1;
-        arena.commit_patch(patch, self.n_rows);
+        self.insert_one_below(self.n_nodes() - 1, tuple, &mut patch);
+        self.commit_patch(patch, self.n_rows() + 1);
     }
 
     /// Batched in-place insert: routes all `tuples` in one traversal
-    /// (partitioning them at each sum node) and folds the arena deltas per
+    /// (partitioning them at each sum node) and folds the finalization per
     /// node — one weight renormalization per touched sum and one prefix
     /// rebuild per touched leaf for the whole batch.
-    pub fn insert_batch<R: AsRef<[f64]>>(&mut self, arena: &mut CompiledSpn, tuples: &[R]) {
+    pub fn insert_batch<R: AsRef<[f64]>>(&mut self, tuples: &[R]) {
         if let [tuple] = tuples {
             // Partition buffers are pure overhead for a batch of one.
-            return self.insert_patch(arena, tuple.as_ref());
+            return self.insert(tuple.as_ref());
         }
         let tuples: Vec<&[f64]> = tuples.iter().map(AsRef::as_ref).collect();
         for t in &tuples {
             self.check_tuple(t);
         }
-        self.check_arena(arena);
         if tuples.is_empty() {
             return;
         }
-        let root_id = Self::root_id(arena);
         let mut patch = ArenaPatch::default();
-        let mut view = Some((&mut *arena, &mut patch));
-        insert_rec(&mut self.root, &mut view, root_id, &tuples);
-        self.n_rows += tuples.len() as u64;
-        arena.commit_patch(patch, self.n_rows);
+        self.insert_below(self.n_nodes() - 1, &tuples, &mut patch);
+        self.commit_patch(patch, self.n_rows() + tuples.len() as u64);
     }
 
-    /// Delete one tuple from the tree **and** patch `arena` in place.
-    /// Returns `false` (a consistent no-op on both representations) if the
-    /// routed path cannot absorb the delete.
-    pub fn delete_patch(&mut self, arena: &mut CompiledSpn, tuple: &[f64]) -> bool {
-        self.delete_batch(arena, &[tuple]) == 1
+    /// Delete one tuple in place. Returns `false` (a consistent no-op) if
+    /// the routed path cannot absorb the delete.
+    pub fn delete(&mut self, tuple: &[f64]) -> bool {
+        self.delete_batch(&[tuple]) == 1
     }
 
     /// Batched in-place delete; returns how many tuples were actually
     /// removed. Deletes are validated (and applied) tuple by tuple so the
     /// all-or-nothing path consistency holds even when tuples within the
-    /// batch compete for the same leaf mass, but the arena finalization
+    /// batch compete for the same leaf mass, but the finalization
     /// (renormalization, prefix rebuilds) is still folded to once per
     /// touched node per batch.
-    pub fn delete_batch<R: AsRef<[f64]>>(
-        &mut self,
-        arena: &mut CompiledSpn,
-        tuples: &[R],
-    ) -> usize {
+    pub fn delete_batch<R: AsRef<[f64]>>(&mut self, tuples: &[R]) -> usize {
         let tuples: Vec<&[f64]> = tuples.iter().map(AsRef::as_ref).collect();
         for t in &tuples {
             self.check_tuple(t);
         }
-        self.check_arena(arena);
-        let root_id = Self::root_id(arena);
+        let root = self.n_nodes() - 1;
         let mut patch = ArenaPatch::default();
         let mut applied = 0usize;
         for t in &tuples {
-            if !can_delete(&self.root, t) {
+            if !self.can_delete_below(root, t) {
                 continue;
             }
-            let mut view = Some((&mut *arena, &mut patch));
-            delete_rec(&mut self.root, &mut view, root_id, t);
+            self.delete_below(root, t, &mut patch);
             applied += 1;
         }
-        self.n_rows -= applied as u64;
-        arena.commit_patch(patch, self.n_rows);
+        self.commit_patch(patch, self.n_rows() - applied as u64);
         applied
     }
 }
@@ -443,20 +448,24 @@ mod tests {
         let (cols, meta) = clustered_data(1500, 3);
         let data = DataView::new(&cols, &meta);
         let mut spn = Spn::learn(data, &SpnParams::default());
-        assert_eq!(spn.consistency_error(), None, "clean after learning");
+        let mut arena = spn.compile();
+        assert_eq!(arena.consistency_error(), None, "clean after learning");
         let q = SpnQuery::new(2).with_pred(1, LeafPred::ge(60.0));
-        let before = spn.probability(&q);
+        let before = arena.evaluate(&q);
 
-        // Age 250 exists in no cluster: the delete must refuse entirely.
+        // Age 250 exists in no cluster: the delete must refuse entirely, on
+        // the arena and the tree oracle alike.
+        assert!(!arena.delete(&[0.0, 250.0]));
         assert!(!spn.delete(&[0.0, 250.0]));
-        assert_eq!(spn.n_rows(), 1500);
-        assert_eq!(spn.consistency_error(), None);
-        assert_eq!(spn.probability(&q).to_bits(), before.to_bits());
+        assert_eq!(arena.n_rows(), 1500);
+        assert_eq!(arena.consistency_error(), None);
+        assert_eq!(arena.evaluate(&q).to_bits(), before.to_bits());
+        assert!(arena.bitwise_eq(&spn.compile()));
 
         // An update whose old tuple is absent refuses too (no blind insert).
         assert!(!spn.update(&[1.0, 250.0], &[1.0, 25.0]));
         assert_eq!(spn.n_rows(), 1500);
-        assert_eq!(spn.consistency_error(), None);
+        assert_eq!(spn.compile().consistency_error(), None);
     }
 
     #[test]
@@ -470,23 +479,23 @@ mod tests {
             .with_pred(1, LeafPred::lt(30.0));
 
         for i in 0..800 {
-            spn.insert_patch(&mut arena, &[0.0, 20.0 + (i % 10) as f64]);
+            let t = [0.0, 20.0 + (i % 10) as f64];
+            arena.insert(&t);
+            spn.insert(&t);
         }
         // The arena answered without any recompilation…
         assert!(arena.evaluate(&q) > 0.1);
-        // …and matches a from-scratch compile bit for bit.
+        // …and matches a compile of the equally updated tree bit for bit.
         assert!(arena.bitwise_eq(&spn.compile()));
 
-        let removed = spn.delete_batch(
-            &mut arena,
-            &(0..800)
-                .map(|i| [0.0, 20.0 + (i % 10) as f64])
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(removed, 800);
+        let tuples: Vec<[f64; 2]> = (0..800).map(|i| [0.0, 20.0 + (i % 10) as f64]).collect();
+        assert_eq!(arena.delete_batch(&tuples), 800);
+        for t in &tuples {
+            assert!(spn.delete(t));
+        }
         assert_eq!(arena.n_rows(), 2500);
         assert!(arena.bitwise_eq(&spn.compile()));
-        assert_eq!(spn.consistency_error(), None);
+        assert_eq!(arena.consistency_error(), None);
     }
 
     /// The arena's neutral (empty-query) tables must track in-place
@@ -506,7 +515,9 @@ mod tests {
         arena.neutral_mpe[root] = -123.0;
 
         for i in 0..200 {
-            spn.insert_patch(&mut arena, &[0.0, 20.0 + (i % 10) as f64]);
+            let t = [0.0, 20.0 + (i % 10) as f64];
+            arena.insert(&t);
+            spn.insert(&t);
         }
         let empty = SpnQuery::new(2);
         assert_eq!(
@@ -516,7 +527,7 @@ mod tests {
         );
         assert!(
             arena.bitwise_eq(&spn.compile()),
-            "patched arena (neutral tables included) must match a recompile"
+            "patched arena (neutral tables included) must match the oracle's compile"
         );
     }
 }

@@ -191,11 +191,11 @@ proptest! {
         let mut spn = learn(&rows);
         let mut arena = spn.compile();
         for &(x, y, z) in &tuples {
-            spn.insert_patch(
-                &mut arena,
-                &[x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }],
-            );
+            let t = [x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }];
+            spn.insert(&t);
+            arena.insert(&t);
         }
+        prop_assert!(arena.bitwise_eq(&spn.compile()), "patched arena diverged from the tree oracle");
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
         let got = BatchEvaluator::new().evaluate(&arena, &queries, None);
         for (i, g) in got.iter().enumerate() {

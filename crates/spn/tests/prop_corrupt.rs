@@ -1,13 +1,14 @@
-//! Corrupted-snapshot fuzzing: `Spn::read_from` must treat every byte
-//! stream as hostile. Truncations and bit flips of a valid snapshot must
-//! either fail cleanly with a typed `InvalidData` error or yield a model
-//! that still evaluates and compiles — never a panic, never an unbounded
+//! Corrupted-snapshot fuzzing: `CompiledSpn::read_from` must treat every
+//! byte stream as hostile. Truncations and bit flips of a valid snapshot
+//! must either fail cleanly with a typed `InvalidData` error or yield an
+//! arena that still evaluates and absorbs an insert and a delete (updates
+//! route through decoded centroids) — never a panic, never an unbounded
 //! allocation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-use deepdb_spn::{ColumnMeta, DataView, LeafPred, Spn, SpnParams, SpnQuery};
+use deepdb_spn::{ColumnMeta, CompiledSpn, DataView, LeafPred, Spn, SpnParams, SpnQuery};
 use proptest::prelude::*;
 
 /// A snapshot with both leaf kinds (exact and binned), sum and product
@@ -52,22 +53,24 @@ fn snapshot() -> &'static [u8] {
         };
         let spn = Spn::learn(DataView::new(&cols, &meta), &params);
         let mut buf = Vec::new();
-        spn.write_to(&mut buf).unwrap();
+        spn.compile().write_to(&mut buf).unwrap();
         buf
     })
 }
 
-/// Load `bytes` and, if it parses, exercise the model: evaluation and
-/// arena compilation must not panic on whatever state decoded.
+/// Load `bytes` and, if it parses, exercise the model: evaluation and one
+/// insert plus one delete must not panic on whatever state decoded.
 fn load_and_exercise(bytes: &[u8]) -> Result<(), String> {
     catch_unwind(AssertUnwindSafe(|| {
-        if let Ok(mut spn) = Spn::read_from(&mut &bytes[..]) {
-            let n = spn.n_columns();
-            let _ = spn.evaluate(&SpnQuery::new(n));
+        if let Ok(mut arena) = CompiledSpn::read_from(&mut &bytes[..]) {
+            let n = arena.n_columns();
+            let _ = arena.evaluate(&SpnQuery::new(n));
             if n > 0 {
-                let _ = spn.evaluate(&SpnQuery::new(n).with_pred(0, LeafPred::ge(1.0)));
+                let _ = arena.evaluate(&SpnQuery::new(n).with_pred(0, LeafPred::ge(1.0)));
             }
-            let _ = spn.compile();
+            let row: Vec<f64> = (0..n).map(|c| c as f64).collect();
+            arena.insert(&row);
+            arena.delete(&row);
         }
     }))
     .map_err(|_| "panicked".to_string())
@@ -83,13 +86,13 @@ proptest! {
         let cut = cut_seed % buf.len();
         let truncated = &buf[..cut];
         prop_assert!(load_and_exercise(truncated).is_ok(), "panicked at cut {cut}");
-        let r = Spn::read_from(&mut &truncated[..]);
+        let r = CompiledSpn::read_from(&mut &truncated[..]);
         prop_assert!(r.is_err(), "strict prefix of length {cut} parsed");
     }
 
     /// Bit-flipped snapshots never panic and never poison evaluation: they
-    /// are either rejected or load into a model that still evaluates and
-    /// compiles.
+    /// are either rejected or load into an arena that still evaluates and
+    /// updates.
     #[test]
     fn bit_flipped_snapshots_never_panic(
         flips in prop::collection::vec((0usize..usize::MAX, 0u32..8), 1..8),

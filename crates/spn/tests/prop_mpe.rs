@@ -133,11 +133,11 @@ proptest! {
         let mut spn = learn(&rows);
         let mut arena = spn.compile();
         for &(x, y, z) in &tuples {
-            spn.insert_patch(
-                &mut arena,
-                &[x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }],
-            );
+            let t = [x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }];
+            spn.insert(&t);
+            arena.insert(&t);
         }
+        prop_assert!(arena.bitwise_eq(&spn.compile()), "patched arena diverged from the tree oracle");
         let q = SpnQuery::new(3).with_pred((target + 1) % 3, LeafPred::ge(1.0));
         let got = MaxProductEvaluator::new()
             .evaluate(&arena, &[MpeProbe::new(target, q.clone())], None)[0];

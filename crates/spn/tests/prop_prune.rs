@@ -191,10 +191,10 @@ proptest! {
         let mut ev = BatchEvaluator::new();
         let mut mp = MaxProductEvaluator::new();
         for &(x, y, z) in &tuples {
-            spn.insert_patch(
-                &mut arena,
-                &[x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }],
-            );
+            let t = [x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }];
+            spn.insert(&t);
+            arena.insert(&t);
+            prop_assert!(arena.bitwise_eq(&spn.compile()), "patched arena diverged from the tree oracle");
             let full = ev.evaluate(&arena, &queries, None);
             let pruned = ev.evaluate(&arena, &queries, Some(&active));
             for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {

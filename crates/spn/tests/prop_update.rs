@@ -1,10 +1,10 @@
-//! Differential property suite for **in-place arena patching**: after any
+//! Differential property suite for **in-place arena updates**: after any
 //! randomized stream of inserts / deletes / updates (including NULL tuples,
-//! deletes of absent tuples, and empty-cluster deletes), the incrementally
-//! patched [`CompiledSpn`] must be **bitwise identical** to the dirty-flag
-//! baseline — mutate the tree only, then run a full recompile. Batched and
-//! one-by-one application must also coincide bitwise, and the tree's mass
-//! bookkeeping (sum counts vs. leaf totals) must stay consistent — the
+//! deletes of absent tuples, and empty-cluster deletes), the patched
+//! [`CompiledSpn`] must be **bitwise identical** to the tree oracle — apply
+//! the same stream to the learner's [`Spn`] tree, then compile it. Batched
+//! and one-by-one application must also coincide bitwise, and the arena's
+//! mass bookkeeping (sum counts vs. leaf totals) must stay consistent — the
 //! regression surface of the old `saturating_sub` delete desync.
 
 use deepdb_spn::{
@@ -58,19 +58,19 @@ fn probes() -> Vec<SpnQuery> {
     ]
 }
 
-fn assert_patch_equals_recompile(patched_arena: &CompiledSpn, baseline_tree: &Spn) {
-    let recompiled = baseline_tree.compile();
+fn assert_patch_equals_oracle(patched_arena: &CompiledSpn, oracle: &Spn) {
+    let compiled = oracle.compile();
     assert!(
-        patched_arena.bitwise_eq(&recompiled),
-        "patched arena diverged from full recompile (n_rows {} vs {})",
+        patched_arena.bitwise_eq(&compiled),
+        "patched arena diverged from the tree oracle (n_rows {} vs {})",
         patched_arena.n_rows(),
-        recompiled.n_rows()
+        compiled.n_rows()
     );
     // Belt and braces: probe results agree bit for bit too.
     let mut ev = BatchEvaluator::new();
     let q = probes();
     let got = ev.evaluate(patched_arena, &q, None);
-    let want = ev.evaluate(&recompiled, &q, None);
+    let want = ev.evaluate(&compiled, &q, None);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g.to_bits(), w.to_bits(), "probe {i} diverged: {g} vs {w}");
     }
@@ -79,51 +79,49 @@ fn assert_patch_equals_recompile(patched_arena: &CompiledSpn, baseline_tree: &Sp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Patch path ≡ dirty-flag + full recompile, bitwise, across randomized
+    /// Arena walk ≡ tree oracle, bitwise, across randomized
     /// insert/delete/update streams. Deletes draw from a small domain so
     /// they hit present tuples, absent tuples, and — once a cluster drains —
-    /// empty clusters; both paths must agree on which deletes were no-ops.
+    /// empty clusters; both walks must agree on which deletes were no-ops.
     #[test]
     fn patched_arena_matches_recompile_bitwise(
         rows in prop::collection::vec((0i64..4, 0i64..8, 0i64..3), 20..200),
         ops in prop::collection::vec((0u8..3, 0i64..4, 0i64..8, 0i64..3), 0..80),
     ) {
-        let mut patched = learn(&rows);
-        let mut baseline = patched.clone();
-        let mut arena = patched.compile();
-        prop_assert!(arena.bitwise_eq(&baseline.compile()));
+        let mut oracle = learn(&rows);
+        let mut arena = oracle.compile();
 
         for (i, &(kind, a, b, f)) in ops.iter().enumerate() {
             let t = tuple(a, b, f);
             match kind {
                 0 => {
-                    patched.insert_patch(&mut arena, &t);
-                    baseline.insert(&t);
+                    arena.insert(&t);
+                    oracle.insert(&t);
                 }
                 1 => {
-                    let x = patched.delete_patch(&mut arena, &t);
-                    let y = baseline.delete(&t);
+                    let x = arena.delete(&t);
+                    let y = oracle.delete(&t);
                     prop_assert_eq!(x, y, "delete applicability diverged at op {}", i);
                 }
                 _ => {
                     let new = tuple((a + 1) % 4, (b + 3) % 8, (f + 1) % 3);
-                    // Patched update = delete_patch + insert_patch.
-                    let x = patched.delete_patch(&mut arena, &t);
+                    // Arena update = delete + insert.
+                    let x = arena.delete(&t);
                     if x {
-                        patched.insert_patch(&mut arena, &new);
+                        arena.insert(&new);
                     }
-                    let y = baseline.update(&t, &new);
+                    let y = oracle.update(&t, &new);
                     prop_assert_eq!(x, y, "update applicability diverged at op {}", i);
                 }
             }
-            prop_assert_eq!(arena.n_rows(), patched.n_rows());
+            prop_assert_eq!(arena.n_rows(), oracle.n_rows());
         }
         prop_assert_eq!(
-            patched.consistency_error(),
+            arena.consistency_error(),
             None,
             "mass bookkeeping desynced after the stream"
         );
-        assert_patch_equals_recompile(&arena, &baseline);
+        assert_patch_equals_oracle(&arena, &oracle);
     }
 
     /// Batched application ≡ one-by-one application, bitwise — for inserts
@@ -135,15 +133,15 @@ proptest! {
         inserts in prop::collection::vec((0i64..4, 0i64..8, 0i64..3), 1..60),
         deletes in prop::collection::vec((0i64..4, 0i64..8, 0i64..3), 1..60),
     ) {
-        let mut batched = learn(&rows);
-        let mut stepped = batched.clone();
-        let mut arena_batched = batched.compile();
-        let mut arena_stepped = stepped.compile();
+        let mut oracle = learn(&rows);
+        let mut arena_batched = oracle.compile();
+        let mut arena_stepped = oracle.compile();
 
         let ins: Vec<[f64; 3]> = inserts.iter().map(|&(a, b, f)| tuple(a, b, f)).collect();
-        batched.insert_batch(&mut arena_batched, &ins);
+        arena_batched.insert_batch(&ins);
         for t in &ins {
-            stepped.insert_patch(&mut arena_stepped, t);
+            arena_stepped.insert(t);
+            oracle.insert(t);
         }
         prop_assert!(
             arena_batched.bitwise_eq(&arena_stepped),
@@ -151,18 +149,19 @@ proptest! {
         );
 
         let del: Vec<[f64; 3]> = deletes.iter().map(|&(a, b, f)| tuple(a, b, f)).collect();
-        let n_batched = batched.delete_batch(&mut arena_batched, &del);
+        let n_batched = arena_batched.delete_batch(&del);
         let mut n_stepped = 0;
         for t in &del {
-            n_stepped += usize::from(stepped.delete_patch(&mut arena_stepped, t));
+            n_stepped += usize::from(arena_stepped.delete(t));
+            oracle.delete(t);
         }
         prop_assert_eq!(n_batched, n_stepped, "applied-delete counts diverged");
         prop_assert!(
             arena_batched.bitwise_eq(&arena_stepped),
             "delete_batch diverged from one-by-one deletes"
         );
-        prop_assert_eq!(batched.consistency_error(), None);
-        assert_patch_equals_recompile(&arena_batched, &stepped);
+        prop_assert_eq!(arena_batched.consistency_error(), None);
+        assert_patch_equals_oracle(&arena_batched, &oracle);
     }
 }
 
@@ -176,52 +175,55 @@ fn empty_cluster_delete_is_a_consistent_noop() {
     let rows: Vec<(i64, i64, i64)> = (0..40)
         .map(|i| if i % 4 == 0 { (0, 0, 1) } else { (3, 7, 2) })
         .collect();
-    let mut spn = learn(&rows);
-    let mut arena = spn.compile();
+    let mut oracle = learn(&rows);
+    let mut arena = oracle.compile();
     let t = tuple(0, 0, 1);
 
     // Drain every copy of the minority tuple (10 of them), then keep going.
     let mut removed = 0;
     for _ in 0..rows.len() {
-        if !spn.delete_patch(&mut arena, &t) {
+        if !arena.delete(&t) {
             break;
         }
+        assert!(oracle.delete(&t));
         removed += 1;
     }
     assert_eq!(removed, 10, "exactly the present copies are removable");
-    assert_eq!(spn.n_rows(), 30);
     assert_eq!(arena.n_rows(), 30);
 
     // Further deletes along the drained path: no-ops, no partial decrements.
-    let before = spn.compile();
-    assert!(!spn.delete_patch(&mut arena, &t));
-    assert!(!spn.delete_patch(&mut arena, &tuple(0, 1, 1)));
-    assert_eq!(spn.consistency_error(), None);
+    let before = arena.clone();
+    assert!(!arena.delete(&t));
+    assert!(!arena.delete(&tuple(0, 1, 1)));
+    assert!(!oracle.delete(&t));
+    assert_eq!(arena.consistency_error(), None);
     assert!(
         arena.bitwise_eq(&before),
         "no-op deletes must not touch state"
     );
-    assert!(arena.bitwise_eq(&spn.compile()));
+    assert!(arena.bitwise_eq(&oracle.compile()));
 }
 
 /// NULL tuples route, patch, and delete through the NULL slot of every leaf.
 #[test]
 fn null_tuples_patch_null_mass_in_place() {
     let rows: Vec<(i64, i64, i64)> = (0..60).map(|i| (i % 3, i % 5, i % 3)).collect();
-    let mut spn = learn(&rows);
-    let mut arena = spn.compile();
+    let mut oracle = learn(&rows);
+    let mut arena = oracle.compile();
     let q = SpnQuery::new(3).with_pred(2, LeafPred::IsNull);
     let before = arena.evaluate(&q);
 
     let t = tuple(1, 2, 0); // f = 0 encodes NULL
-    spn.insert_patch(&mut arena, &t);
+    arena.insert(&t);
+    oracle.insert(&t);
     assert!(arena.evaluate(&q) > before, "NULL mass must grow in place");
-    assert!(arena.bitwise_eq(&spn.compile()));
+    assert!(arena.bitwise_eq(&oracle.compile()));
 
-    assert!(spn.delete_patch(&mut arena, &t));
+    assert!(arena.delete(&t));
+    assert!(oracle.delete(&t));
     assert_eq!(
         arena.evaluate(&q).to_bits(),
-        spn.compile().evaluate(&q).to_bits()
+        oracle.compile().evaluate(&q).to_bits()
     );
-    assert_eq!(spn.consistency_error(), None);
+    assert_eq!(arena.consistency_error(), None);
 }

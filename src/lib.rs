@@ -68,11 +68,12 @@
 //! lowest-child-wins tie-breaking and O(1) cached leaf-mode backtraces).
 //! Each node kind has one sweep kernel, bitwise equal to the recursive
 //! oracle for any batch size, tiling and thread count.
-//! Models compile at learn/load time; inserts and deletes then **patch the
-//! arena in place** (lockstep with the tree, O(depth) per tuple, bitwise
-//! identical to a recompile — cached modes included), so the engines are
-//! never stale between updates and queries — [`Ensemble::recompile_models`]
-//! remains only as an explicit structural-maintenance entry point. The
+//! The arena is the model: learning compiles the learned tree once and
+//! drops it, snapshots are written from and decoded into arenas, and
+//! inserts and deletes **patch the arena in place** (O(depth) per tuple,
+//! bitwise identical to compiling the equally updated tree oracle — cached
+//! modes included), so the engines are never stale between updates and
+//! queries. The
 //! **entire query surface takes `&Ensemble`** — cardinality, AQP, and the
 //! ML entry points, which ship batched forms
 //! ([`ml::predict_classification_batch`], [`ml::predict_regression_batch`])

@@ -1,9 +1,12 @@
-//! Tier-1 guard for the SPN sweep kernels: batched expectation and
-//! max-product evaluation on the compiled arena agree with the recursive
-//! oracle bit for bit — at batch sizes on both sides of the sweep tile,
-//! with and without sub-DAG pruning, and after in-place inserts. The
-//! threaded sweep agrees with the inline one, surfaces a helper's panic on
-//! the calling thread, and honours a cancel flag.
+//! Tier-1 guard for the SPN sweep kernels and the arena's update and
+//! snapshot paths: batched expectation and max-product evaluation on the
+//! compiled arena agree with the recursive oracle bit for bit — at batch
+//! sizes on both sides of the sweep tile, with and without sub-DAG pruning,
+//! and after in-place inserts and deletes walked independently on the arena
+//! and the tree oracle. Every arena survives a snapshot round trip bitwise,
+//! and the snapshot bytes of a fixed model are pinned. The threaded sweep
+//! agrees with the inline one, surfaces a helper's panic on the calling
+//! thread, and honours a cancel flag.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -145,6 +148,22 @@ fn deep_params() -> SpnParams {
     }
 }
 
+/// `read_from(write_to(arena))` is the arena, bit for bit; returns the bytes.
+fn assert_round_trip(arena: &CompiledSpn, label: &str) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    arena.write_to(&mut bytes).unwrap();
+    let restored = CompiledSpn::read_from(&mut bytes.as_slice()).unwrap();
+    assert!(restored.bitwise_eq(arena), "{label}: snapshot round trip");
+    bytes
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn compiled_sweeps_match_the_recursive_oracle_bitwise() {
     for (label, mut spn) in [
@@ -157,11 +176,34 @@ fn compiled_sweeps_match_the_recursive_oracle_bitwise() {
             "{label}: the model must have inner nodes to sweep"
         );
         check(&mut spn, &arena, label);
-        for k in 0..6u32 {
-            let f = if k % 3 == 0 { f64::NAN } else { 1.0 };
-            spn.insert_patch(&mut arena, &[f64::from(k), f64::from(k * 5), f]);
+        let bytes = assert_round_trip(&arena, label);
+        if label == "shallow" {
+            // The `DSPN1` bytes of this fixed model, as the tree-based
+            // writer produced them: the format must not drift.
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                (6040, 0x1167_ffd1_0663_faf3),
+                "DSPN1 bytes changed"
+            );
+        }
+        let rows: Vec<[f64; 3]> = (0..6u32)
+            .map(|k| {
+                let f = if k % 3 == 0 { f64::NAN } else { 1.0 };
+                [f64::from(k), f64::from(k * 5), f]
+            })
+            .collect();
+        for row in &rows {
+            spn.insert(row);
+            arena.insert(row);
         }
         check(&mut spn, &arena, &format!("{label} after inserts"));
+        assert_round_trip(&arena, &format!("{label} after inserts"));
+        for row in &rows {
+            assert!(spn.delete(row), "{label}: oracle delete");
+            assert!(arena.delete(row), "{label}: arena delete");
+        }
+        check(&mut spn, &arena, &format!("{label} after deletes"));
+        assert_round_trip(&arena, &format!("{label} after deletes"));
     }
 }
 
