@@ -9,18 +9,27 @@
 //!
 //! GROUP BY enumeration is **plan-fused**: every group's probe bundle
 //! (count fraction, probability factor, second moment, AVG
-//! numerator/denominator) is registered on one [`crate::ProbePlan`], so the
-//! whole result set costs exactly one fused arena sweep per touched RSPN
-//! member, parallelized across the ensemble's probe-thread budget. Groups
-//! whose COUNT needs Case-3 RSPN combination register their symbolic
+//! numerator/denominator) is registered on one sharing [`crate::ProbePlan`],
+//! so the whole result set costs exactly one fused arena sweep per touched
+//! RSPN member, parallelized across the ensemble's probe-thread budget.
+//! Groups whose COUNT needs Case-3 RSPN combination register their symbolic
 //! [`crate::combine::CombinePlan`] bundles on the same shared plan — the
 //! one-sweep-per-member invariant holds for multi-RSPN GROUP BY too.
+//!
+//! What a group registers: each bundle takes only the group predicates on
+//! its own tables, and the plan gives bitwise-equal probes on one member one
+//! slot. So a bundle that accepts none of the group's predicates is swept
+//! once for the whole query, a bundle that accepts some once per distinct
+//! tuple of the values it accepts, and the resolved answers are bitwise
+//! those of one slot per registration.
 //!
 //! The whole query path runs on `&Ensemble`.
 
 use deepdb_storage::{Aggregate, Database, Domain, Query, Value};
 
-use crate::compile::{estimate_count_values, resolve_scalar, value_predicate, ScalarTemplate};
+use crate::compile::{
+    estimate_count_values, resolve_scalar, value_predicate, DeferredScalar, ScalarTemplate,
+};
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
 use crate::plan::ProbePlan;
@@ -109,42 +118,8 @@ pub fn execute_aqp(ens: &Ensemble, db: &Database, query: &Query) -> Result<AqpOu
         group_domains.push(survivors);
     }
 
-    // Enumerate all group combinations (mixed-radix counter) and register
-    // every group's full probe bundle on ONE plan, then sweep each touched
-    // member once. Member selection, the translation of the shared
-    // (non-group) predicates, and — for multi-RSPN counts — the whole
-    // Case-3 combine plan happen ONCE in the template; each group only
-    // appends its own value predicates to the cloned bases.
-    let mut shared_q = query.clone();
-    shared_q.group_by.clear();
-    let template = ScalarTemplate::prepare(ens, db, &shared_q, &query.group_by)?;
-    let mut plan = ProbePlan::new();
-    let mut pending = Vec::new();
-    let mut combo = vec![0usize; group_domains.len()];
-    'outer: loop {
-        let key: Vec<Value> = combo
-            .iter()
-            .zip(&group_domains)
-            .map(|(&i, d)| d[i])
-            .collect();
-        let group_preds: Vec<_> = query
-            .group_by
-            .iter()
-            .zip(&key)
-            .map(|(g, v)| value_predicate(g.table, g.column, *v))
-            .collect();
-        pending.push((key, template.register_group(&mut plan, ens, &group_preds)?));
-        // Advance the mixed-radix counter over group combinations.
-        for d in 0..combo.len() {
-            combo[d] += 1;
-            if combo[d] < group_domains[d].len() {
-                continue 'outer;
-            }
-            combo[d] = 0;
-        }
-        break;
-    }
-
+    let mut plan = ProbePlan::sharing();
+    let pending = register_groups(&mut plan, ens, db, query, &group_domains)?;
     let results = plan.execute(ens);
     let mut groups = Vec::new();
     for (key, deferred) in pending {
@@ -155,6 +130,48 @@ pub fn execute_aqp(ens: &Ensemble, db: &Database, query: &Query) -> Result<AqpOu
         }
     }
     Ok(AqpOutput::Grouped(groups))
+}
+
+/// Enumerate every combination of the group `domains` (mixed-radix counter)
+/// and register each group's probe bundle on `plan`. Member selection, the
+/// translation of the shared (non-group) predicates and — for multi-RSPN
+/// counts — the whole Case-3 combine plan happen once, in the template; a
+/// group only appends its own value predicates to the bundles that accept
+/// them. On a sharing plan a bundle no group predicate reaches (every
+/// lineorder probe of an SSB query, every dimension step's denominator)
+/// therefore takes one slot for the whole query, and a dimension step one
+/// per distinct value of its own group columns.
+fn register_groups(
+    plan: &mut ProbePlan,
+    ens: &Ensemble,
+    db: &Database,
+    query: &Query,
+    domains: &[Vec<Value>],
+) -> Result<Vec<(Vec<Value>, DeferredScalar)>, DeepDbError> {
+    let mut shared_q = query.clone();
+    shared_q.group_by.clear();
+    let template = ScalarTemplate::prepare(ens, db, &shared_q, &query.group_by)?;
+    let mut pending = Vec::new();
+    let mut combo = vec![0usize; domains.len()];
+    'outer: loop {
+        let key: Vec<Value> = combo.iter().zip(domains).map(|(&i, d)| d[i]).collect();
+        let group_preds: Vec<_> = query
+            .group_by
+            .iter()
+            .zip(&key)
+            .map(|(g, v)| value_predicate(g.table, g.column, *v))
+            .collect();
+        pending.push((key, template.register_group(plan, ens, &group_preds)?));
+        // Advance the mixed-radix counter over group combinations.
+        for d in 0..combo.len() {
+            combo[d] += 1;
+            if combo[d] < domains[d].len() {
+                continue 'outer;
+            }
+            combo[d] = 0;
+        }
+        return Ok(pending);
+    }
 }
 
 fn to_result(agg: Estimate, count: Estimate) -> AqpResult {
@@ -240,6 +257,58 @@ mod tests {
         };
         let ens = EnsembleBuilder::new(&db).params(params).build().unwrap();
         (db, ens)
+    }
+
+    /// A grouped Case-3 query on single-table members: the orders
+    /// member's probes carry no group predicate (the groups are customer
+    /// ages), so a sharing plan sweeps as many of them for 25 groups as for
+    /// one — and the answers equal those of a plan with one slot per
+    /// registration, bit for bit.
+    #[test]
+    fn grouped_case3_sweeps_the_fact_member_once_per_query() {
+        let db = correlated_customer_order(1500, 21);
+        let params = EnsembleParams {
+            strategy: crate::ensemble::EnsembleStrategy::SingleTables,
+            sample_size: 10_000,
+            correlation_sample: 1_000,
+            ..EnsembleParams::default()
+        };
+        let ens = EnsembleBuilder::new(&db).params(params).build().unwrap();
+        let c = db.table_id("customer").unwrap();
+        let o = db.table_id("orders").unwrap();
+        let orders = ens.rspns().iter().position(|r| r.tables() == [o]).unwrap();
+        let q = Query::count(vec![c, o])
+            .filter(o, 2, PredOp::Cmp(CmpOp::Eq, Value::Int(0)))
+            .aggregate(Aggregate::Sum(ColumnRef {
+                table: o,
+                column: 3,
+            }))
+            .group(c, 1);
+        let ages = group_domain(&ens, &db, c, 1).unwrap();
+        assert!(ages.len() >= 25, "{} ages", ages.len());
+
+        let mut fact_probes = Vec::new();
+        for n_groups in [1, 25] {
+            let domains = [ages[..n_groups].to_vec()];
+            let mut shared = ProbePlan::sharing();
+            let pending = register_groups(&mut shared, &ens, &db, &q, &domains).unwrap();
+            let mut each = ProbePlan::new();
+            let baseline = register_groups(&mut each, &ens, &db, &q, &domains).unwrap();
+            assert!(shared.n_probes() < each.n_probes(), "{n_groups} groups");
+            fact_probes.push(shared.probes_for_member(orders));
+
+            let (got, want) = (shared.execute(&ens), each.execute(&ens));
+            for ((_, a), (_, b)) in pending.iter().zip(&baseline) {
+                let (a_agg, a_count) = resolve_scalar(a, &got).unwrap();
+                let (b_agg, b_count) = resolve_scalar(b, &want).unwrap();
+                for (x, y) in [(a_agg, b_agg), (a_count, b_count)] {
+                    assert_eq!(x.value.to_bits(), y.value.to_bits());
+                    assert_eq!(x.variance.to_bits(), y.variance.to_bits());
+                }
+            }
+        }
+        assert!(fact_probes[0] > 0);
+        assert_eq!(fact_probes[0], fact_probes[1], "orders probes per query");
     }
 
     #[test]

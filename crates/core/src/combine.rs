@@ -14,11 +14,16 @@
 //!    eager loop used to, but instead of evaluating each step it records a
 //!    tree of [`PlanNode`]s whose leaves hold pre-translated base
 //!    [`SpnQuery`] bundles (count fractions and factor-weighted ratios);
-//! 2. **register** — [`CombinePlan::register`] clones the base queries,
-//!    appends a group's value predicates (GROUP BY reuses one plan for every
-//!    group), and enqueues *all* bundles of *all* steps on the **caller's**
-//!    [`ProbePlan`], returning a symbolic [`CombineExpr`] of
-//!    `Scale`/`Product`/`Divide` nodes over the registered handles;
+//! 2. **register** — [`CombinePlan::register`] appends a group's value
+//!    predicates to the bundles whose tables they are on (GROUP BY reuses one
+//!    plan for every group), and enqueues *all* bundles of *all* steps on the
+//!    **caller's** [`ProbePlan`], returning a symbolic [`CombineExpr`] of
+//!    `Scale`/`Product`/`Divide` nodes over the registered handles. A step's
+//!    factor depends only on the group columns of its own tables, so on a
+//!    sharing plan (the GROUP BY fan-outs) a bundle that accepts none of a
+//!    group's predicates is registered as it is — no clone — and lands in
+//!    the slot every other group's copy uses, and one that accepts some
+//!    takes one slot per distinct tuple of the values it accepts;
 //! 3. **resolve** — after the caller's single fused sweep per touched
 //!    member, [`CombineExpr::resolve`] folds the probe results through the
 //!    §5.1 variance algebra. Theorem-2 ratios with a degenerate (empty
@@ -37,7 +42,7 @@ use deepdb_spn::{LeafFunc, SpnQuery};
 use deepdb_storage::{Database, ForeignKey, Predicate, TableId};
 
 use crate::compile::{
-    best_rspn_with, fraction_bundle_queries, register_fraction, DeferredFraction,
+    best_rspn_with, extend_probe, register_fraction, DeferredFraction, FractionBundle,
 };
 use crate::ensemble::Ensemble;
 use crate::estimate::Estimate;
@@ -131,75 +136,6 @@ fn theorem2_ratio(num: Estimate, den: Estimate) -> Result<Estimate, DeepDbError>
     })
 }
 
-/// Pre-translated base queries of one count-fraction bundle on a fixed
-/// member — the combine-layer sibling of `compile::CountTemplate`, extended
-/// with an `accept` set so GROUP BY value predicates are appended only to
-/// the steps whose table set actually contains the grouping column (exactly
-/// the per-step predicate filtering the eager loop applied).
-struct FractionBundle {
-    idx: usize,
-    n: u64,
-    point: SpnQuery,
-    prob: Option<SpnQuery>,
-    sq: Option<SpnQuery>,
-    /// Tables whose per-group predicates this bundle absorbs.
-    accept: BTreeSet<TableId>,
-}
-
-impl FractionBundle {
-    fn build(
-        ens: &Ensemble,
-        idx: usize,
-        set: &BTreeSet<TableId>,
-        preds: &[Predicate],
-        accept: BTreeSet<TableId>,
-    ) -> Result<Self, DeepDbError> {
-        let rspn = &ens.rspns()[idx];
-        let (point, prob, sq) = fraction_bundle_queries(rspn, set, preds)?;
-        Ok(FractionBundle {
-            idx,
-            n: rspn.n_training(),
-            point,
-            prob,
-            sq,
-            accept,
-        })
-    }
-
-    fn register(
-        &self,
-        plan: &mut ProbePlan,
-        ens: &Ensemble,
-        group_preds: &[Predicate],
-    ) -> Result<DeferredFraction, DeepDbError> {
-        let rspn = &ens.rspns()[self.idx];
-        let extend = |base: &SpnQuery| -> Result<SpnQuery, DeepDbError> {
-            let mut q = base.clone();
-            for p in group_preds {
-                if self.accept.contains(&p.table) {
-                    rspn.add_predicate(&mut q, p)?;
-                }
-            }
-            Ok(q)
-        };
-        let point = plan.register(self.idx, extend(&self.point)?);
-        let prob = match &self.prob {
-            Some(b) => Some(plan.register(self.idx, extend(b)?)),
-            None => None,
-        };
-        let sq = match &self.sq {
-            Some(b) => Some(plan.register(self.idx, extend(b)?)),
-            None => None,
-        };
-        Ok(DeferredFraction {
-            n: self.n,
-            point,
-            prob,
-            sq,
-        })
-    }
-}
-
 /// Pre-translated base queries of one factor-weighted ratio on a fixed
 /// member (see the eager `factor_weighted_ratio` for the formulas).
 struct FactorRatioBundle {
@@ -279,23 +215,18 @@ impl FactorRatioBundle {
         group_preds: &[Predicate],
     ) -> Result<DeferredFactorRatio, DeepDbError> {
         let rspn = &ens.rspns()[self.idx];
-        let extend = |base: &SpnQuery, with_num: bool| -> Result<SpnQuery, DeepDbError> {
-            let mut q = base.clone();
-            for p in group_preds {
-                if self.accept_all.contains(&p.table)
-                    || (with_num && self.accept_num.contains(&p.table))
-                {
-                    rspn.add_predicate(&mut q, p)?;
-                }
-            }
-            Ok(q)
+        let mut register = |base: &SpnQuery, with_num: bool| -> Result<ProbeHandle, DeepDbError> {
+            let accept =
+                |t| self.accept_all.contains(&t) || (with_num && self.accept_num.contains(&t));
+            let q = extend_probe(rspn, base, group_preds, accept)?;
+            Ok(plan.register_probe(self.idx, q))
         };
         Ok(DeferredFactorRatio {
             n: self.n,
             weighted: self.weighted,
-            num: plan.register(self.idx, extend(&self.num, true)?),
-            den: plan.register(self.idx, extend(&self.den, false)?),
-            sq: plan.register(self.idx, extend(&self.sq, true)?),
+            num: register(&self.num, true)?,
+            den: register(&self.den, false)?,
+            sq: register(&self.sq, true)?,
         })
     }
 }
@@ -356,7 +287,9 @@ impl PlanNode {
 }
 
 /// A planned Case-3 combination: built once per query (the decisions are
-/// value-independent), registered once per GROUP BY group.
+/// value-independent), registered once per GROUP BY group — on a sharing
+/// plan each step's probes take one slot per distinct value tuple of the
+/// step's own group columns.
 pub(crate) struct CombinePlan {
     root: PlanNode,
     start_member: usize,
@@ -414,7 +347,7 @@ impl CombinePlan {
                 start_idx,
                 &covered,
                 &covered_preds,
-                covered.clone(),
+                Some(covered.clone()),
             )?)),
         );
 
@@ -461,14 +394,14 @@ impl CombinePlan {
                     b,
                     &extended,
                     &filter_preds(shared_preds, &extended),
-                    extended.clone(),
+                    Some(extended.clone()),
                 )?;
                 let den = FractionBundle::build(
                     ens,
                     b,
                     &overlap,
                     &filter_preds(shared_preds, &overlap),
-                    overlap.clone(),
+                    Some(overlap.clone()),
                 )?;
                 root = PlanNode::Product(
                     Box::new(root),
@@ -521,8 +454,8 @@ impl CombinePlan {
                     .filter(|p| p.table == v)
                     .cloned()
                     .collect();
-                let num = FractionBundle::build(ens, b, &v_set, &v_preds, v_set.clone())?;
-                let den = FractionBundle::build(ens, b, &v_set, &[], BTreeSet::new())?;
+                let num = FractionBundle::build(ens, b, &v_set, &v_preds, Some(v_set.clone()))?;
+                let den = FractionBundle::build(ens, b, &v_set, &[], Some(BTreeSet::new()))?;
                 root = PlanNode::Product(
                     Box::new(PlanNode::Product(
                         Box::new(root),
@@ -563,8 +496,9 @@ impl CombinePlan {
     }
 
     /// Register every bundle of every step on the caller's plan, appending
-    /// this group's value predicates to the steps that absorb them, and
-    /// return the symbolic expression over the live handles.
+    /// this group's value predicates to the steps that absorb them (a step
+    /// that absorbs none registers its bases as they are), and return the
+    /// symbolic expression over the live handles.
     pub(crate) fn register(
         &self,
         plan: &mut ProbePlan,

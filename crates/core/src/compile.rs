@@ -29,12 +29,15 @@
 //! fraction bundles on the same plan, so a COUNT costs one sweep per
 //! touched member no matter how many RSPNs it combines.
 //! `aqp::execute_aqp` fuses the bundles of *every* GROUP BY group — combine
-//! plans included — into one plan. The retired eager Case-3 loop survives
+//! plans included — into one sharing plan, which sweeps each distinct probe
+//! per member once: a bundle no group predicate reaches is swept once per
+//! query, not once per group. The retired eager Case-3 loop survives
 //! only as the differential-test oracle [`crate::combine::multi_rspn_count`].
 //!
 //! All query entry points take `&Ensemble`: the update path patches the
 //! compiled engines in place, so they are never stale.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use deepdb_spn::{LeafFunc, LeafPred, SpnQuery};
@@ -74,9 +77,10 @@ pub fn estimate_cardinality(
 /// When a single RSPN covers the query (paper Cases 1/2) all probes are
 /// registered on one [`ProbePlan`] and the member is swept **once**, tiles
 /// parallelized (`|J| · E[1/F' · 1_{C ∧ target=v} · ∏N_T]` per value).
-/// Otherwise every value's combine plan is registered on one shared plan
+/// Otherwise every value's combine plan is registered on one sharing plan
 /// (Case-3 combination is planned symbolically, so the whole batch still
-/// costs one sweep per touched member).
+/// costs one sweep per touched member, and only the steps over the target's
+/// table are swept once per value).
 pub fn estimate_count_values(
     ens: &Ensemble,
     db: &Database,
@@ -124,12 +128,13 @@ pub fn estimate_count_values(
     }
 
     // Case 3 (or translation-failure) fallback: prepare the combine plan
-    // once and register every value's bundle set on ONE shared plan — still
-    // one fused sweep per touched member for the whole batch.
+    // once and register every value's bundle set on ONE sharing plan — one
+    // fused sweep per touched member for the whole batch, each distinct
+    // probe once.
     let mut count_q = query.clone();
     count_q.aggregate = Aggregate::CountStar;
     let template = ScalarTemplate::prepare(ens, db, &count_q, std::slice::from_ref(&target))?;
-    let mut plan = ProbePlan::new();
+    let mut plan = ProbePlan::sharing();
     let mut deferred = Vec::with_capacity(values.len());
     for v in values {
         deferred.push(template.register_group(&mut plan, ens, &[eq_pred(v)])?);
@@ -300,8 +305,7 @@ impl DeferredFraction {
 /// Register the probes of one count fraction on RSPN member `idx` (the
 /// split into a binomial predicate part and a Koenig–Huygens
 /// conditional-expectation part follows paper §5.1). Thin wrapper over
-/// [`CountTemplate`] — whose probe recipe lives in
-/// [`fraction_bundle_queries`] — with no deferred group predicates.
+/// [`FractionBundle`] with no deferred group predicates.
 pub(crate) fn register_fraction(
     plan: &mut ProbePlan,
     ens: &Ensemble,
@@ -309,9 +313,7 @@ pub(crate) fn register_fraction(
     qtables: &BTreeSet<TableId>,
     preds: &[Predicate],
 ) -> Result<DeferredFraction, DeepDbError> {
-    Ok(CountTemplate::build(ens, idx, qtables, preds)?
-        .register(plan, ens, &[])?
-        .fraction)
+    FractionBundle::build(ens, idx, qtables, preds, None)?.register(plan, ens, &[])
 }
 
 /// Deferred Theorem-1 count on a single covering member:
@@ -362,7 +364,11 @@ pub(crate) fn register_count(
 /// bundle, or a planned multi-RSPN combination. Prepared once per query
 /// (GROUP BY re-registers it per group with the group's value predicates).
 enum CountSource {
-    Covered(CountTemplate),
+    /// A Theorem-1 count on one covering member: `|J|` and its fraction.
+    Covered {
+        j: f64,
+        fraction: FractionBundle,
+    },
     Combined(CombinePlan),
 }
 
@@ -375,12 +381,10 @@ impl CountSource {
         selector_preds: &[Predicate],
     ) -> Result<Self, DeepDbError> {
         match best_covering_rspn(ens, qtables, selector_preds) {
-            Some(idx) => Ok(CountSource::Covered(CountTemplate::build(
-                ens,
-                idx,
-                qtables,
-                shared_preds,
-            )?)),
+            Some(idx) => Ok(CountSource::Covered {
+                j: ens.rspns()[idx].full_join_count() as f64,
+                fraction: FractionBundle::build(ens, idx, qtables, shared_preds, None)?,
+            }),
             None => Ok(CountSource::Combined(CombinePlan::build(
                 ens,
                 db,
@@ -398,9 +402,10 @@ impl CountSource {
         group_preds: &[Predicate],
     ) -> Result<DeferredCountExpr, DeepDbError> {
         Ok(match self {
-            CountSource::Covered(t) => {
-                DeferredCountExpr::Covered(t.register(plan, ens, group_preds)?)
-            }
+            CountSource::Covered { j, fraction } => DeferredCountExpr::Covered(DeferredCount {
+                j: *j,
+                fraction: fraction.register(plan, ens, group_preds)?,
+            }),
             CountSource::Combined(c) => {
                 DeferredCountExpr::Combined(c.register(plan, ens, group_preds)?)
             }
@@ -476,9 +481,10 @@ pub(crate) fn register_scalar(
 // Scalar templates: GROUP BY enumeration registers the same probe bundle
 // once per group, with only the group-value predicates changing. A
 // `ScalarTemplate` performs the member selection and translates the shared
-// (non-group) predicates into base `SpnQuery`s ONCE; each group then clones
-// the bases and appends just its own per-value predicates — O(groups ×
-// group columns) instead of O(groups × all predicates) translation work.
+// (non-group) predicates into base `SpnQuery`s ONCE; each group then appends
+// just its own per-value predicates to the bundles that accept them (cloning
+// a base only when it gains one) — O(groups × group columns) instead of
+// O(groups × all predicates) translation work.
 // ---------------------------------------------------------------------------
 
 /// Pre-translated probe bases for a family of scalar queries that differ
@@ -493,14 +499,20 @@ pub(crate) struct ScalarTemplate {
     agg: AggTemplate,
 }
 
-/// Base queries of one deferred Theorem-1 count on a fixed member.
-struct CountTemplate {
-    idx: usize,
-    j: f64,
+/// Pre-translated base queries of one count-fraction bundle on a fixed
+/// member: a Theorem-1 count's (Cases 1/2) or one Case-3 step's. `accept`
+/// names the tables whose GROUP BY value predicates the bundle absorbs —
+/// exactly the per-step predicate filtering of the eager Case-3 loop — so
+/// a bundle that absorbs none of a group's predicates registers its bases
+/// as they are.
+pub(crate) struct FractionBundle {
+    pub(crate) idx: usize,
     n: u64,
     point: SpnQuery,
     prob: Option<SpnQuery>,
     sq: Option<SpnQuery>,
+    /// `None`: every group predicate (a covering member holds them all).
+    accept: Option<BTreeSet<TableId>>,
 }
 
 /// Base queries of one deferred AVG on a fixed member.
@@ -521,87 +533,80 @@ enum AggTemplate {
     },
 }
 
-/// Translate the base queries of one Theorem-1 fraction bundle against a
-/// member: the point probe, plus — when tuple-factor normalization is
-/// active — the probability factor (same query, moment functions replaced
-/// by `One`) and the squared-moment probe. The **single source** of the
-/// point/prob/sq recipe: [`CountTemplate::build`] (Cases 1/2) and the
-/// combine planner's per-step bundles (Case 3) both delegate here, which is
-/// what keeps the planned path bitwise-equal to the eager oracle.
-pub(crate) fn fraction_bundle_queries(
-    rspn: &crate::rspn::Rspn,
-    set: &BTreeSet<TableId>,
-    preds: &[Predicate],
-) -> Result<(SpnQuery, Option<SpnQuery>, Option<SpnQuery>), DeepDbError> {
-    let (point, factors) = count_fraction_query(rspn, set, preds, false)?;
-    let (prob, sq) = if factors.is_empty() {
-        (None, None)
-    } else {
-        let mut prob_q = point.clone();
-        for &f in &factors {
-            prob_q.set_func(f, LeafFunc::One);
-        }
-        let (sq_q, _) = count_fraction_query(rspn, set, preds, true)?;
-        (Some(prob_q), Some(sq_q))
-    };
-    Ok((point, prob, sq))
-}
-
-impl CountTemplate {
-    /// Translate the shared predicates of one count bundle against member
-    /// `idx` ([`register_fraction`] delegates here,
-    /// [`fraction_bundle_queries`] holds the probe recipe).
-    fn build(
+impl FractionBundle {
+    /// Translate the shared predicates of one fraction bundle against
+    /// member `idx`: the point probe, plus — when tuple-factor
+    /// normalization is active — the probability factor (same query, moment
+    /// functions replaced by `One`) and the squared-moment probe. The
+    /// **single source** of the point/prob/sq recipe for Theorem-1 counts
+    /// (Cases 1/2) and the combine planner's per-step bundles (Case 3),
+    /// which is what keeps the planned path bitwise-equal to the eager
+    /// oracle.
+    pub(crate) fn build(
         ens: &Ensemble,
         idx: usize,
-        qtables: &BTreeSet<TableId>,
+        set: &BTreeSet<TableId>,
         preds: &[Predicate],
+        accept: Option<BTreeSet<TableId>>,
     ) -> Result<Self, DeepDbError> {
         let rspn = &ens.rspns()[idx];
-        let (point, prob, sq) = fraction_bundle_queries(rspn, qtables, preds)?;
-        Ok(CountTemplate {
+        let (point, factors) = count_fraction_query(rspn, set, preds, false)?;
+        let (prob, sq) = if factors.is_empty() {
+            (None, None)
+        } else {
+            let mut prob_q = point.clone();
+            for &f in &factors {
+                prob_q.set_func(f, LeafFunc::One);
+            }
+            let (sq_q, _) = count_fraction_query(rspn, set, preds, true)?;
+            (Some(prob_q), Some(sq_q))
+        };
+        Ok(FractionBundle {
             idx,
-            j: rspn.full_join_count() as f64,
             n: rspn.n_training(),
             point,
             prob,
             sq,
+            accept,
         })
     }
 
-    fn register(
+    /// Register the bundle with the group predicates it accepts appended.
+    pub(crate) fn register(
         &self,
         plan: &mut ProbePlan,
         ens: &Ensemble,
         group_preds: &[Predicate],
-    ) -> Result<DeferredCount, DeepDbError> {
+    ) -> Result<DeferredFraction, DeepDbError> {
         let rspn = &ens.rspns()[self.idx];
-        let extend = |base: &SpnQuery| -> Result<SpnQuery, DeepDbError> {
-            let mut q = base.clone();
-            for p in group_preds {
-                rspn.add_predicate(&mut q, p)?;
-            }
-            Ok(q)
+        let accept = |t: TableId| self.accept.as_ref().is_none_or(|a| a.contains(&t));
+        let mut register = |base: &SpnQuery| -> Result<ProbeHandle, DeepDbError> {
+            let q = extend_probe(rspn, base, group_preds, accept)?;
+            Ok(plan.register_probe(self.idx, q))
         };
-        let point = plan.register(self.idx, extend(&self.point)?);
-        let prob = match &self.prob {
-            Some(b) => Some(plan.register(self.idx, extend(b)?)),
-            None => None,
-        };
-        let sq = match &self.sq {
-            Some(b) => Some(plan.register(self.idx, extend(b)?)),
-            None => None,
-        };
-        Ok(DeferredCount {
-            j: self.j,
-            fraction: DeferredFraction {
-                n: self.n,
-                point,
-                prob,
-                sq,
-            },
+        Ok(DeferredFraction {
+            n: self.n,
+            point: register(&self.point)?,
+            prob: self.prob.as_ref().map(&mut register).transpose()?,
+            sq: self.sq.as_ref().map(&mut register).transpose()?,
         })
     }
+}
+
+/// `base` with the group predicates on the tables `accept` admits
+/// translated onto it — still borrowed while none is, so a sharing plan
+/// registers a probe no group predicate reaches without cloning it.
+pub(crate) fn extend_probe<'q>(
+    rspn: &crate::rspn::Rspn,
+    base: &'q SpnQuery,
+    group_preds: &[Predicate],
+    accept: impl Fn(TableId) -> bool,
+) -> Result<Cow<'q, SpnQuery>, DeepDbError> {
+    let mut q = Cow::Borrowed(base);
+    for p in group_preds.iter().filter(|p| accept(p.table)) {
+        rspn.add_predicate(q.to_mut(), p)?;
+    }
+    Ok(q)
 }
 
 impl AvgTemplate {
@@ -667,23 +672,18 @@ impl AvgTemplate {
         group_preds: &[Predicate],
     ) -> Result<DeferredAvg, DeepDbError> {
         let rspn = &ens.rspns()[self.idx];
-        let extend = |base: &SpnQuery| -> Result<SpnQuery, DeepDbError> {
-            let mut q = base.clone();
-            // Same filter the shared predicates went through: predicates on
-            // tables outside this member are ignored (documented
-            // approximation of the paper's AVG translation).
-            for p in group_preds {
-                if rspn.tables().contains(&p.table) {
-                    rspn.add_predicate(&mut q, p)?;
-                }
-            }
-            Ok(q)
+        // Same filter the shared predicates went through: predicates on
+        // tables outside this member are ignored (documented approximation
+        // of the paper's AVG translation).
+        let mut register = |base: &SpnQuery| -> Result<ProbeHandle, DeepDbError> {
+            let q = extend_probe(rspn, base, group_preds, |t| rspn.tables().contains(&t))?;
+            Ok(plan.register_probe(self.idx, q))
         };
         Ok(DeferredAvg {
             n: self.n,
-            num: plan.register(self.idx, extend(&self.num)?),
-            den: plan.register(self.idx, extend(&self.den)?),
-            sq: plan.register(self.idx, extend(&self.sq)?),
+            num: register(&self.num)?,
+            den: register(&self.den)?,
+            sq: register(&self.sq)?,
         })
     }
 }
@@ -742,8 +742,10 @@ impl ScalarTemplate {
         Ok(ScalarTemplate { count, agg })
     }
 
-    /// Register one group's probe bundle: clone the translated bases and
-    /// append only this group's value predicates.
+    /// Register one group's probe bundle: the translated bases with this
+    /// group's value predicates appended where a bundle accepts them. On a
+    /// sharing plan a base that accepts none is not cloned and shares the
+    /// slot of every other group's copy.
     pub(crate) fn register_group(
         &self,
         plan: &mut ProbePlan,

@@ -263,6 +263,7 @@ impl<'a> EnsembleBuilder<'a> {
             params: self.params,
             update_rng: StdRng::seed_from_u64(0x0BDA7E5),
             updates_absorbed: 0,
+            rows_lost: 0,
             probe_threads: 0,
             pool: WorkerPool::new(),
             plan_epoch: AtomicU64::new(0),
@@ -284,6 +285,11 @@ pub struct Ensemble {
     params: EnsembleParams,
     update_rng: StdRng,
     updates_absorbed: u64,
+    /// Sample rows an update meant to apply to a member but could not: an
+    /// inserted or deleted tuple whose FK parent is not in the PK cache (no
+    /// join row to assemble), or a delete the member's model refused (it
+    /// never represented the row). Runtime-only, not part of snapshots.
+    rows_lost: u64,
     /// Worker-thread cap for probe-plan execution; 0 = auto (available
     /// parallelism). Runtime-only, not part of snapshots.
     probe_threads: usize,
@@ -427,6 +433,14 @@ impl Ensemble {
     /// Total number of tuples absorbed through the update path.
     pub fn updates_absorbed(&self) -> u64 {
         self.updates_absorbed
+    }
+
+    /// Sample rows updates could not apply to a member's model since this
+    /// ensemble was built or loaded: the join row of a tuple whose FK parent
+    /// is unknown, and deletes of rows the model never represented. Each
+    /// is mass the models silently miss.
+    pub fn model_rows_lost(&self) -> u64 {
+        self.rows_lost
     }
 
     /// Sum of model sizes (diagnostics).
@@ -658,10 +672,9 @@ impl Ensemble {
             // the per-tuple mass matches the training distribution.
             let copies = sampled_copies(self.rspns[i].sample_rate(), &mut self.update_rng);
             if copies > 0 {
-                if let Some(row) = self.assemble_join_row(db, i, table, values) {
-                    for _ in 0..copies {
-                        batches[i].push(row.clone());
-                    }
+                match self.assemble_join_row(db, i, table, values) {
+                    Some(row) => batches[i].extend(std::iter::repeat_n(row, copies)),
+                    None => self.rows_lost += copies as u64,
                 }
             }
         }
@@ -713,10 +726,13 @@ impl Ensemble {
             }
             let copies = sampled_copies(self.rspns[i].sample_rate(), &mut self.update_rng);
             if copies > 0 {
-                if let Some(join_row) = self.assemble_join_row(db, i, table, &values) {
-                    for _ in 0..copies {
-                        self.rspns[i].delete_row(&join_row);
+                match self.assemble_join_row(db, i, table, &values) {
+                    Some(join_row) => {
+                        for _ in 0..copies {
+                            self.rows_lost += u64::from(!self.rspns[i].delete_row(&join_row));
+                        }
                     }
+                    None => self.rows_lost += copies as u64,
                 }
             }
         }
@@ -1005,6 +1021,7 @@ impl Ensemble {
             },
             update_rng: StdRng::seed_from_u64(seed ^ 0x0BDA7E5),
             updates_absorbed,
+            rows_lost: 0,
             probe_threads: 0,
             pool: WorkerPool::new(),
             plan_epoch: AtomicU64::new(0),

@@ -122,9 +122,15 @@ impl Estimate {
     }
 
     /// Two-sided normal confidence interval at the given confidence level
-    /// (e.g. 0.95).
+    /// (e.g. 0.95). A level that is not finite reads as 0, the interval
+    /// `(value, value)`.
     pub fn confidence_interval(&self, confidence: f64) -> (f64, f64) {
-        let z = normal_quantile(0.5 + confidence.clamp(0.0, 0.9999) / 2.0);
+        let level = if confidence.is_finite() {
+            confidence.clamp(0.0, 0.9999)
+        } else {
+            0.0
+        };
+        let z = normal_quantile(0.5 + level / 2.0);
         let half = z * self.std_dev();
         (self.value - half, self.value + half)
     }
@@ -230,6 +236,18 @@ mod tests {
         assert!(wh - wl > nh - nl);
         // 95% CI half-width for σ=1 is ≈1.96.
         assert!((nh - 100.0 - 1.96).abs() < 0.01);
+    }
+
+    #[test]
+    fn non_finite_confidence_levels_give_the_point() {
+        let e = Estimate {
+            value: 7.5,
+            variance: 4.0,
+        };
+        for level in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (lo, hi) = e.confidence_interval(level);
+            assert_eq!((lo, hi), (7.5, 7.5), "level {level}");
+        }
     }
 
     #[test]

@@ -35,18 +35,27 @@
 //!    ([`ProbeResults::value`] for expectations, [`ProbeResults::mpe_value`]
 //!    / [`ProbeResults::mpe_outcome`] for MPE probes).
 //!
-//! The per-query probe *count* is unchanged by planning; what drops is the
-//! number of arena passes (one per touched member) and the wall-clock on
-//! multi-member / multi-group / batched-prediction workloads, which now
-//! scale across cores.
+//! Planning sweeps each *distinct* probe per member once. A plan made with
+//! [`ProbePlan::sharing`] (the GROUP BY fan-outs) gives a registration whose
+//! probe is bitwise equal to one already on the same member that probe's
+//! slot instead of a new one, so a Case-3 step that no group predicate
+//! reaches is swept once per query, not once per group. Sharing cannot move
+//! an answer: a probe's value depends only on its own [`SpnQuery`] (see
+//! [`ProbePlan::absorb`]). Every other plan keeps one slot per registration,
+//! which is the layout the plan cache diffs and rebinds. What drops beside
+//! the probe count is the number of arena passes (one per touched member)
+//! and the wall-clock on multi-member / multi-group / batched-prediction
+//! workloads, which scale across cores.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use deepdb_spn::{
-    ActiveSet, CancelFlag, MpeOutcome, MpeProbe, SpnQuery, SweepJob, SweepTables, TileFaultFn,
-    SWEEP_TILE,
+    ActiveSet, CancelFlag, LeafPred, MpeOutcome, MpeProbe, SpnQuery, SweepJob, SweepTables,
+    TileFaultFn, SWEEP_TILE,
 };
 
 use crate::ensemble::Ensemble;
@@ -137,6 +146,10 @@ pub struct ProbePlan {
     id: u64,
     /// Per-member batches in first-registration order of the member.
     members: Vec<MemberProbes>,
+    /// On a [`ProbePlan::sharing`] plan: the expectation slots of each
+    /// member, by [`fingerprint`] of their probe. `None` on every other
+    /// plan: one slot per registration.
+    shared: Option<HashMap<(usize, u64), Vec<usize>>>,
 }
 
 impl Default for ProbePlan {
@@ -150,20 +163,19 @@ impl ProbePlan {
         Self {
             id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
             members: Vec::new(),
+            shared: None,
         }
     }
 
-    fn member_entry(&mut self, member: usize) -> &mut MemberProbes {
-        match self.members.iter().position(|m| m.member == member) {
-            Some(i) => &mut self.members[i],
-            None => {
-                self.members.push(MemberProbes {
-                    member,
-                    expect: Vec::new(),
-                    mpe: Vec::new(),
-                });
-                self.members.last_mut().expect("just pushed")
-            }
+    /// A plan that registers each distinct expectation probe once per
+    /// member: [`ProbePlan::register_probe`] hands a probe bitwise equal to
+    /// one already registered on the same member that probe's handle. For
+    /// the GROUP BY fan-outs, whose groups repeat every probe no group
+    /// predicate reaches.
+    pub(crate) fn sharing() -> Self {
+        Self {
+            shared: Some(HashMap::new()),
+            ..Self::new()
         }
     }
 
@@ -171,7 +183,7 @@ impl ProbePlan {
     /// handle resolves to its value after [`ProbePlan::execute`].
     pub fn register(&mut self, member: usize, probe: SpnQuery) -> ProbeHandle {
         let plan = self.id;
-        let entry = self.member_entry(member);
+        let entry = member_entry(&mut self.members, member);
         entry.expect.push(probe);
         ProbeHandle {
             plan,
@@ -180,13 +192,39 @@ impl ProbePlan {
         }
     }
 
+    /// Enqueue one expectation probe, borrowed or owned. On a
+    /// [`ProbePlan::sharing`] plan a probe bitwise equal to one already on
+    /// `member` resolves to that slot, and a borrowed one is cloned only
+    /// when it is new; on any other plan this is [`ProbePlan::register`].
+    pub(crate) fn register_probe(
+        &mut self,
+        member: usize,
+        probe: Cow<'_, SpnQuery>,
+    ) -> ProbeHandle {
+        let Some(index) = self.shared.as_mut() else {
+            return self.register(member, probe.into_owned());
+        };
+        let slots = index.entry((member, fingerprint(&probe))).or_default();
+        let plan = self.id;
+        let entry = member_entry(&mut self.members, member);
+        let slot = match slots.iter().find(|&&s| same_bits(&entry.expect[s], &probe)) {
+            Some(&s) => s,
+            None => {
+                entry.expect.push(probe.into_owned());
+                slots.push(entry.expect.len() - 1);
+                entry.expect.len() - 1
+            }
+        };
+        ProbeHandle { plan, member, slot }
+    }
+
     /// Enqueue one max-product probe (most probable value of SPN column
     /// `target` given the evidence in `probe`) against member `member`. The
     /// probe rides the **same fused sweep** as the member's expectation
     /// probes — a classification batch costs no extra arena passes.
     pub fn register_mpe(&mut self, member: usize, target: usize, probe: SpnQuery) -> MpeHandle {
         let plan = self.id;
-        let entry = self.member_entry(member);
+        let entry = member_entry(&mut self.members, member);
         entry.mpe.push(MpeProbe::new(target, probe));
         MpeHandle {
             plan,
@@ -354,7 +392,7 @@ impl ProbePlan {
     pub(crate) fn absorb(&mut self, other: &ProbePlan) -> PlanStitch {
         let mut parts = Vec::with_capacity(other.members.len());
         for m in &other.members {
-            let entry = self.member_entry(m.member);
+            let entry = member_entry(&mut self.members, m.member);
             parts.push(StitchPart {
                 member: m.member,
                 expect_off: entry.expect.len(),
@@ -419,6 +457,74 @@ impl ProbePlan {
         }
         debug_assert_eq!(next, binds.len(), "bind positions out of range");
     }
+}
+
+/// The batch of `member` in `members`, appended if the plan does not touch
+/// it yet.
+fn member_entry(members: &mut Vec<MemberProbes>, member: usize) -> &mut MemberProbes {
+    match members.iter().position(|m| m.member == member) {
+        Some(i) => &mut members[i],
+        None => {
+            members.push(MemberProbes {
+                member,
+                expect: Vec::new(),
+                mpe: Vec::new(),
+            });
+            members.last_mut().expect("just pushed")
+        }
+    }
+}
+
+/// Hash of a probe's slot layout, moment functions and literal bits: equal
+/// for bitwise-equal probes ([`same_bits`] settles collisions).
+fn fingerprint(q: &SpnQuery) -> u64 {
+    let mut h = q.n_cols() as u64;
+    let mut mix = |x: u64| h = (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    for c in q.active_columns() {
+        let func = q.slot(c).and_then(|s| s.func).map_or(0, |f| f as u64 + 1);
+        mix(c as u64);
+        mix(func);
+    }
+    q.for_each_literal(|v| mix(v.to_bits()));
+    h
+}
+
+/// Whether two probes are bitwise equal: same slots, moment functions and
+/// predicates, every literal with the same bits. Such probes sweep to the
+/// same value.
+fn same_bits(a: &SpnQuery, b: &SpnQuery) -> bool {
+    let bits = |x: &[f64], y: &[f64]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+    };
+    let pred = |p: &LeafPred, q: &LeafPred| match (p, q) {
+        (
+            LeafPred::Range {
+                lo,
+                hi,
+                lo_incl,
+                hi_incl,
+            },
+            LeafPred::Range {
+                lo: lo2,
+                hi: hi2,
+                lo_incl: lo_incl2,
+                hi_incl: hi_incl2,
+            },
+        ) => bits(&[*lo, *hi], &[*lo2, *hi2]) && (lo_incl, hi_incl) == (lo_incl2, hi_incl2),
+        (LeafPred::In(x), LeafPred::In(y)) | (LeafPred::NotIn(x), LeafPred::NotIn(y)) => bits(x, y),
+        (LeafPred::IsNull, LeafPred::IsNull) | (LeafPred::IsNotNull, LeafPred::IsNotNull) => true,
+        _ => false,
+    };
+    a.n_cols() == b.n_cols()
+        && (0..a.n_cols()).all(|c| match (a.slot(c), b.slot(c)) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                x.func == y.func
+                    && x.preds.len() == y.preds.len()
+                    && x.preds.iter().zip(&y.preds).all(|(p, q)| pred(p, q))
+            }
+            _ => false,
+        })
 }
 
 /// One absorbed client's footprint inside one member batch of a fused

@@ -122,6 +122,37 @@ fn interleaved_update_stream_matches_recompile_bitwise() {
         }
         passes_floor = ens.rspns().iter().map(|r| r.probe_passes()).collect();
     }
+    assert_eq!(
+        ens.model_rows_lost(),
+        0,
+        "every streamed row reached the models"
+    );
+}
+
+/// Rows the models never absorbed cannot leave them: a delete of one is
+/// counted, not dropped silently, and no member's training mass moves.
+#[test]
+fn deleting_a_row_the_model_never_absorbed_is_counted() {
+    let (mut db, mut ens) = setup();
+    let c = db.table_id("customer").unwrap();
+    let mass: Vec<u64> = ens.rspns().iter().map(|r| r.n_training()).collect();
+    assert_eq!(ens.model_rows_lost(), 0);
+
+    // Customers of an age no trained row holds, written to the table only.
+    for k in 0..8 {
+        let pk = 7_000_000 + k;
+        db.table_mut(c)
+            .push_row(&[Value::Int(pk), Value::Int(10_000 + k), Value::Int(0)])
+            .unwrap();
+        let row = db.table(c).n_rows() - 1;
+        ens.apply_delete(&mut db, c, row).unwrap();
+    }
+    assert!(
+        ens.model_rows_lost() > 0,
+        "refused deletes were not counted"
+    );
+    let after: Vec<u64> = ens.rspns().iter().map(|r| r.n_training()).collect();
+    assert_eq!(after, mass, "a refused delete changed a model");
 }
 
 /// `apply_insert_batch` ≡ the same sequence of `apply_insert` calls, bitwise
